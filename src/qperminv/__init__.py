@@ -6,17 +6,11 @@ __version__ = "0.1.0"
 from .perm import (
     FAMILIES,
     Permutation,
-    PrefixSet,
-    apply_and_invert,
     build_permutation,
     load_permutation,
     permutation_from_text,
     permutation_to_text,
     prefix_membership_stats,
-    prefix_set,
-    save_permutation,
-    stage_set,
-    tagged_set,
 )
 from .qstate import (
     SCALAR_TOL,
@@ -54,7 +48,6 @@ from .invert import (
     expected_state_after_tag,
     initial_state,
     run_av_inv,
-    run_av_inv_unrolled,
     run_inv,
     run_stepwise_test,
 )

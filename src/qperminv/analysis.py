@@ -17,19 +17,15 @@ import numpy as np
 from .invert import run_av_inv
 from .ops import PseudoIdentity, apply_pseudo_identity
 from .perm import Permutation, prefix_members
-from .qstate import StateVector, make_signed_uniform, support_members
+from .qstate import make_signed_uniform, support_members
 
 BOUND_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 
-def _signed_state(jop: PseudoIdentity, support, flipped) -> StateVector:
-    return make_signed_uniform(support, flipped, k=jop.k, n=jop.n)
-
-
 def error_length(jop: PseudoIdentity, support, flipped=()) -> float:
     """||(J - I) psi|| for the signed uniform state over (support, flipped)."""
-    state = _signed_state(jop, support, flipped)
+    state = make_signed_uniform(support, flipped, k=jop.k, n=jop.n)
     before = state.amps.copy()
     apply_pseudo_identity(state, jop)
     return float(np.linalg.norm(state.amps - before))
@@ -54,8 +50,8 @@ class BoundReport:
 
 def check_error_length_bound(jop: PseudoIdentity, support, flipped=()) -> BoundReport:
     """Error length against 2*sqrt(a)*|S∩good|/sqrt(|S|) + 2*sqrt(|S∩bad|/|S|)."""
-    members, _ = support_members(support, jop.n)
-    t_members, _ = support_members(flipped, jop.n)
+    members = support_members(support)
+    t_members = support_members(flipped)
     measured = error_length(jop, support, flipped)
     size = members.size
     bad_overlap = jop.count_bad(members)
@@ -91,7 +87,7 @@ class ResidualReport:
 
 
 def check_residual_bound(jop: PseudoIdentity, support, flipped=()) -> ResidualReport:
-    state = _signed_state(jop, support, flipped)
+    state = make_signed_uniform(support, flipped, k=jop.k, n=jop.n)
     psi = state.amps.copy()
     apply_pseudo_identity(state, jop)
     alpha = complex(np.vdot(psi, state.amps))
@@ -257,13 +253,7 @@ def inversion_residual_stats(
     applicable = exhaustive and bound <= 1.0
     threshold = 1.0 / q
     exceed = int(np.count_nonzero(v2 > threshold))
-    markov_count, markov_limit, markov_ok = None, None, None
-    if mean_v2 > 0:
-        markov_count = exceed
-        markov_limit = count * mean_v2 * q
-        markov_ok = exceed <= markov_limit + BOUND_TOL
-    else:
-        markov_count, markov_limit, markov_ok = exceed, 0.0, exceed == 0
+    markov_limit = count * mean_v2 * q
     return SweepSummary(
         kind="inversion-residual",
         n=n,
@@ -282,9 +272,9 @@ def inversion_residual_stats(
         residual_bound=bound,
         residual_bound_applicable=applicable,
         residual_bound_ok=(mean_v2 <= bound + BOUND_TOL) if applicable else None,
-        markov_count=markov_count,
+        markov_count=exceed,
         markov_limit=markov_limit,
-        markov_ok=markov_ok,
+        markov_ok=exceed <= markov_limit + BOUND_TOL,
         v2_values=v2,
         success_values=success,
     )

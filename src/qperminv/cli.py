@@ -35,8 +35,14 @@ from .invert import (
     PseudoReflectionProvider,
     run_stepwise_test,
 )
-from .ops import build_pseudo_identity, parse_pseudo_identity
-from .perm import FAMILIES, build_permutation, load_permutation, permutation_to_text
+from .ops import ANGLE_MODES, BAD_MODES, build_pseudo_identity, parse_pseudo_identity
+from .perm import (
+    DEFAULT_MAX_BITS,
+    FAMILIES,
+    build_permutation,
+    load_permutation,
+    permutation_to_text,
+)
 
 GEN_FAMILIES = tuple(f for f in FAMILIES if f != "from-table")
 
@@ -57,6 +63,16 @@ def _add_perm_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="bit length (even)")
     parser.add_argument("--seed", type=int, help="permutation seed")
     parser.add_argument("--mask", type=int, help="xor-mask parameter")
+
+
+def _add_operator_source(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", type=float, default=0.0)
+    parser.add_argument("--b", type=float, default=0.0)
+    parser.add_argument("--bad-size", type=int)
+    parser.add_argument("--bad-mode", choices=BAD_MODES, default="full-rotation")
+    parser.add_argument("--angle-mode", choices=ANGLE_MODES, default="worst-case")
+    parser.add_argument("--j-seed", type=int)
+    parser.add_argument("--j-file", help="load the pseudo-identity from a serialized file")
 
 
 def _resolve_perm(args):
@@ -110,6 +126,24 @@ def _resolve_pseudo_identity(args, n: int):
     )
 
 
+def _write_output(command: str, path: str, text: str, config: dict, derived=None) -> None:
+    """Write one output file and its manifest beside it, then print its path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    atomic_write_text(path, text)
+    write_manifest(command, config, derived or {}, {os.path.basename(path): text},
+                   path + ".manifest.json")
+    print(path)
+
+
+def _write_json(command: str, path: str | None, payload: dict, config: dict) -> None:
+    """A JSON report goes to `path` with a manifest, or to stdout without one."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if path:
+        _write_output(command, path, text, config)
+    else:
+        print(text, end="")
+
+
 def cmd_gen_perm(args) -> int:
     if args.n is None or args.n % 2 != 0 or args.n < 2:
         return _usage(f"--n must be an even integer >= 2, got {args.n}")
@@ -120,17 +154,16 @@ def cmd_gen_perm(args) -> int:
     out_dir = resolve_out_dir(args.out_dir)
     name = f"perm-{args.family}-n{args.n}" + (f"-s{args.seed}" if args.seed is not None else "")
     path = args.out or os.path.join(out_dir, name + ".txt")
-    text = permutation_to_text(perm)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    atomic_write_text(path, text)
     config = {"family": args.family, "n": args.n, "seed": args.seed, "mask": args.mask}
-    write_manifest("gen-perm", config, {}, {os.path.basename(path): text},
-                   path + ".manifest.json")
-    print(path)
+    _write_output("gen-perm", path, permutation_to_text(perm), config)
     return 0
 
 
 def _cmd_run(args, with_pseudo: bool) -> int:
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        return _usage(str(exc))
     try:
         perm = _resolve_perm(args)
         xs = _resolve_xs(args.x, perm.n, args.master_seed)
@@ -151,7 +184,6 @@ def _cmd_run(args, with_pseudo: bool) -> int:
             threshold = PSEUDO_THRESHOLD
     elif threshold is None:
         threshold = EXACT_THRESHOLD
-    workers = resolve_workers(args.workers)
     try:
         reports = run_batch(perm, jop, xs, k, not args.no_trace, threshold, workers)
     except (ValueError, RuntimeError) as exc:
@@ -160,8 +192,6 @@ def _cmd_run(args, with_pseudo: bool) -> int:
     out_dir = resolve_out_dir(args.out_dir)
     command = "run-avinv" if with_pseudo else "run-inv"
     path = args.out or os.path.join(out_dir, command + ".csv")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    atomic_write_text(path, csv_text)
     config = {
         "command": command,
         "n": perm.n,
@@ -176,25 +206,21 @@ def _cmd_run(args, with_pseudo: bool) -> int:
     if jop is not None:
         config.update({"a": jop.a, "b": jop.b, "bad_size": jop.bad_size, "j_seed": jop.seed,
                        "bad_mode": jop.bad_mode, "angle_mode": jop.angle_mode})
-    write_manifest(command, config, {}, {os.path.basename(path): csv_text},
-                   path + ".manifest.json")
-    print(path)
+    _write_output(command, path, csv_text, config)
     return 0
 
 
 def cmd_check_lemmas(args) -> int:
+    if args.n % 2 != 0 or not 2 <= args.n <= DEFAULT_MAX_BITS:
+        return _usage(f"--n must be an even integer in [2, {DEFAULT_MAX_BITS}], got {args.n}")
+    if args.count < 1:
+        return _usage(f"--count must be at least 1, got {args.count}")
+    if args.k < 1:
+        return _usage(f"--k must be at least 1, got {args.k}")
     checks = lemma_battery(n_max=args.n, count=args.count, seed=args.seed, k=args.k)
     report = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        atomic_write_text(args.out, text)
-        config = {"n": args.n, "count": args.count, "seed": args.seed, "k": args.k}
-        write_manifest("check-lemmas", config, {}, {os.path.basename(args.out): text},
-                       args.out + ".manifest.json")
-        print(args.out)
-    else:
-        print(text, end="")
+    config = {"n": args.n, "count": args.count, "seed": args.seed, "k": args.k}
+    _write_json("check-lemmas", args.out, report, config)
     return 0 if report["all_pass"] else 1
 
 
@@ -236,15 +262,7 @@ def cmd_test_stages(args) -> int:
         "first_failing_stage": report.first_failing_stage,
         "all_pass": report.all_pass,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        atomic_write_text(args.out, text)
-        write_manifest("test-stages", payload, {}, {os.path.basename(args.out): text},
-                       args.out + ".manifest.json")
-        print(args.out)
-    else:
-        print(text, end="")
+    _write_json("test-stages", args.out, payload, payload)
     return 0 if report.all_pass else 1
 
 
@@ -253,7 +271,10 @@ def cmd_sweep(args) -> int:
         config = load_sweep_config(args.config)
     except (OSError, ValueError) as exc:
         return _usage(f"invalid sweep config: {exc}")
-    workers = resolve_workers(args.workers)
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        return _usage(str(exc))
     try:
         rows, derived = sweep_rows(config, workers)
     except (ValueError, RuntimeError) as exc:
@@ -261,11 +282,7 @@ def cmd_sweep(args) -> int:
     csv_text = sweep_to_csv(rows)
     out_dir = resolve_out_dir(args.out_dir)
     path = args.out or config.get("out") or os.path.join(out_dir, "sweep.csv")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    atomic_write_text(path, csv_text)
-    write_manifest("sweep", config, derived, {os.path.basename(path): csv_text},
-                   path + ".manifest.json")
-    print(path)
+    _write_output("sweep", path, csv_text, config, derived)
     return 0
 
 
@@ -304,15 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--out-dir")
         if with_pseudo:
-            p.add_argument("--a", type=float, default=0.0)
-            p.add_argument("--b", type=float, default=0.0)
-            p.add_argument("--bad-size", type=int)
-            p.add_argument("--bad-mode", choices=("full-rotation", "random-angle"),
-                           default="full-rotation")
-            p.add_argument("--angle-mode", choices=("worst-case", "random"),
-                           default="worst-case")
-            p.add_argument("--j-seed", type=int)
-            p.add_argument("--j-file", help="serialized pseudo-identity to apply")
+            _add_operator_source(p)
         p.set_defaults(func=lambda a, wp=with_pseudo: _cmd_run(a, wp))
 
     p = sub.add_parser("check-lemmas", help="run the numerical bound battery")
@@ -327,13 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_perm_source(p)
     p.add_argument("--provider", choices=("exact", "pseudo", "corrupted"), default="exact")
     p.add_argument("--corrupt-stage", type=int)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--bad-size", type=int)
-    p.add_argument("--bad-mode", choices=("full-rotation", "random-angle"), default="full-rotation")
-    p.add_argument("--angle-mode", choices=("worst-case", "random"), default="worst-case")
-    p.add_argument("--j-seed", type=int)
-    p.add_argument("--j-file", help="serialized pseudo-identity to test")
+    _add_operator_source(p)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--x", default="all")
     p.add_argument("--threshold", type=float)

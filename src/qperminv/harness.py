@@ -75,11 +75,21 @@ def sha256_text(text: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write a uniquely named, fsynced temporary beside `path`, then rename it
+    into place. O_EXCL rather than mkstemp, whose mode 0600 would override the
+    umask on the output."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def resolve_out_dir(flag_value: str | None) -> str:
@@ -88,10 +98,15 @@ def resolve_out_dir(flag_value: str | None) -> str:
 
 
 def resolve_workers(flag_value: int | None) -> int:
+    """QPERMINV_WORKERS, else the flag, clamped to [1, CPU count]."""
     env = os.environ.get(ENV_WORKERS)
+    requested = flag_value or 1
     if env:
-        return max(1, int(env))
-    return max(1, flag_value or 1)
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_WORKERS} must be an integer, got {env!r}") from None
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def write_manifest(command: str, config_echo: dict, derived_seeds: dict, outputs: dict, manifest_path: str) -> None:

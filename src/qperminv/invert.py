@@ -17,7 +17,6 @@ import numpy as np
 
 from .ops import (
     PseudoIdentity,
-    apply_pseudo_identity,
     apply_pseudo_reflection,
     apply_reflection_exact,
     apply_tagging,
@@ -90,102 +89,6 @@ class RunReport:
     final_state: StateVector | None = field(default=None, repr=False)
 
 
-def _finish_report(perm, x, k, state, trace_rows, threshold, keep_state, jop=None) -> RunReport:
-    norm = state.norm()
-    if abs(norm - 1.0) > 1e-9:
-        raise RuntimeError(f"state norm drifted to {norm} during the run")
-    success = basis_overlap(state, perm.inverse(x), 0)
-    trace = None
-    first_failing = None
-    if trace_rows is not None:
-        tags, refs, fids = trace_rows
-        verdicts = tuple(f >= threshold for f in fids)
-        trace = StageTrace(tuple(tags), tuple(refs), tuple(fids), verdicts, threshold)
-        first_failing = trace.first_failing
-    return RunReport(
-        x=x,
-        n=perm.n,
-        k=k,
-        success_prob=success,
-        v2_norm=float(np.sqrt(max(0.0, 1.0 - success))),
-        family=perm.family,
-        perm_seed=perm.seed,
-        a=None if jop is None else jop.a,
-        b=None if jop is None else jop.b,
-        bad_size=None if jop is None else jop.bad_size,
-        j_seed=None if jop is None else jop.seed,
-        trace=trace,
-        first_failing_stage=first_failing,
-        final_state=state if keep_state else None,
-    )
-
-
-def run_inv(
-    perm: Permutation,
-    x: int,
-    k: int = 0,
-    trace: bool = False,
-    threshold: float = EXACT_THRESHOLD,
-    keep_state: bool = False,
-) -> RunReport:
-    """Exact staged inversion of x; success probability is read off the basis
-    state (f^-1(x), 0)."""
-    _check_value(x, perm.n)
-    state = initial_state(perm.n, k)
-    rows = ([], [], []) if trace else None
-    for j in range(perm.n // 2):
-        apply_tagging(state, perm, x, j)
-        if trace:
-            rows[0].append(state.distance_to(expected_state_after_tag(perm, x, j, k)))
-        apply_reflection_exact(state, perm, x, j)
-        if trace:
-            oracle = expected_state_after_reflect(perm, x, j, k)
-            rows[1].append(state.distance_to(oracle))
-            rows[2].append(float(abs(oracle.inner(state)) ** 2))
-    return _finish_report(perm, x, k, state, rows, threshold, keep_state)
-
-
-def run_av_inv(
-    perm: Permutation,
-    x: int,
-    jop: PseudoIdentity,
-    trace: bool = False,
-    threshold: float = PSEUDO_THRESHOLD,
-    keep_state: bool = False,
-) -> RunReport:
-    """Error-tolerant staged inversion: the exact reflection is replaced by
-    its conjugation under the pseudo-identity."""
-    _check_value(x, perm.n)
-    if jop.n != perm.n:
-        raise ValueError(f"operator acts on {jop.n} main qubits but permutation has {perm.n}")
-    k = jop.k
-    state = initial_state(perm.n, k)
-    rows = ([], [], []) if trace else None
-    for j in range(perm.n // 2):
-        apply_tagging(state, perm, x, j)
-        if trace:
-            rows[0].append(state.distance_to(expected_state_after_tag(perm, x, j, k)))
-        apply_pseudo_reflection(state, perm, x, j, jop)
-        if trace:
-            oracle = expected_state_after_reflect(perm, x, j, k)
-            rows[1].append(state.distance_to(oracle))
-            rows[2].append(float(abs(oracle.inner(state)) ** 2))
-    return _finish_report(perm, x, k, state, rows, threshold, keep_state, jop)
-
-
-def run_av_inv_unrolled(perm: Permutation, x: int, jop: PseudoIdentity) -> StateVector:
-    """Same run with the pseudo-reflection spelled out as its four half-steps
-    (tag, forward rotation, exact reflection, reverse rotation)."""
-    _check_value(x, perm.n)
-    state = initial_state(perm.n, jop.k)
-    for j in range(perm.n // 2):
-        apply_tagging(state, perm, x, j)
-        apply_pseudo_identity(state, jop)
-        apply_reflection_exact(state, perm, x, j)
-        apply_pseudo_identity(state, jop, adjoint=True)
-    return state
-
-
 class ExactReflectionProvider:
     """Stage-operator source that applies the exact reflection."""
 
@@ -224,6 +127,80 @@ class CorruptedReflectionProvider:
             reflect_about_uniform(state, prefix_members(perm, x, 2 * j + 2))
         else:
             apply_reflection_exact(state, perm, x, j)
+
+
+def _stage(state: StateVector, perm: Permutation, x: int, j: int, provider, rows=None) -> None:
+    """Stage j in place: the exact tag, then the provider's stage-j operator;
+    rows, when given, collect the distances and fidelity to the oracles."""
+    apply_tagging(state, perm, x, j)
+    if rows is not None:
+        rows[0].append(state.distance_to(expected_state_after_tag(perm, x, j, state.k)))
+    provider.apply(state, perm, x, j)
+    if rows is not None:
+        oracle = expected_state_after_reflect(perm, x, j, state.k)
+        rows[1].append(state.distance_to(oracle))
+        rows[2].append(float(abs(oracle.inner(state)) ** 2))
+
+
+def _run(perm, x, provider, k, trace, threshold, keep_state, jop=None) -> RunReport:
+    """Every stage from the uniform state; success is read off (f^-1(x), 0)."""
+    _check_value(x, perm.n)
+    state = initial_state(perm.n, k)
+    rows = ([], [], []) if trace else None
+    for j in range(perm.n // 2):
+        _stage(state, perm, x, j, provider, rows)
+    norm = state.norm()
+    if abs(norm - 1.0) > 1e-9:
+        raise RuntimeError(f"state norm drifted to {norm} during the run")
+    success = basis_overlap(state, perm.inverse(x), 0)
+    stage_trace = None
+    if trace:
+        verdicts = tuple(f >= threshold for f in rows[2])
+        stage_trace = StageTrace(tuple(rows[0]), tuple(rows[1]), tuple(rows[2]), verdicts, threshold)
+    return RunReport(
+        x=x,
+        n=perm.n,
+        k=k,
+        success_prob=success,
+        v2_norm=float(np.sqrt(max(0.0, 1.0 - success))),
+        family=perm.family,
+        perm_seed=perm.seed,
+        a=None if jop is None else jop.a,
+        b=None if jop is None else jop.b,
+        bad_size=None if jop is None else jop.bad_size,
+        j_seed=None if jop is None else jop.seed,
+        trace=stage_trace,
+        first_failing_stage=None if stage_trace is None else stage_trace.first_failing,
+        final_state=state if keep_state else None,
+    )
+
+
+def run_inv(
+    perm: Permutation,
+    x: int,
+    k: int = 0,
+    trace: bool = False,
+    threshold: float = EXACT_THRESHOLD,
+    keep_state: bool = False,
+) -> RunReport:
+    """Exact staged inversion of x; success probability is read off the basis
+    state (f^-1(x), 0)."""
+    return _run(perm, x, ExactReflectionProvider(), k, trace, threshold, keep_state)
+
+
+def run_av_inv(
+    perm: Permutation,
+    x: int,
+    jop: PseudoIdentity,
+    trace: bool = False,
+    threshold: float = PSEUDO_THRESHOLD,
+    keep_state: bool = False,
+) -> RunReport:
+    """Error-tolerant staged inversion: the exact reflection is replaced by
+    its conjugation under the pseudo-identity."""
+    if jop.n != perm.n:
+        raise ValueError(f"operator acts on {jop.n} main qubits but permutation has {perm.n}")
+    return _run(perm, x, PseudoReflectionProvider(jop), jop.k, trace, threshold, keep_state, jop)
 
 
 @dataclass(frozen=True)
@@ -271,10 +248,8 @@ def run_stepwise_test(
                 state = initial_state(perm.n, k)
             else:
                 state = expected_state_after_reflect(perm, x, j - 1, k)
-            apply_tagging(state, perm, x, j)
-            provider.apply(state, perm, x, j)
-            oracle = expected_state_after_reflect(perm, x, j, k)
-            fid = float(abs(oracle.inner(state)) ** 2)
+            _stage(state, perm, x, j, provider)
+            fid = float(abs(expected_state_after_reflect(perm, x, j, k).inner(state)) ** 2)
             min_fid[j] = min(min_fid[j], fid)
             if fid < threshold and first is None:
                 first = j

@@ -45,9 +45,9 @@ def apply_tagging(state: StateVector, perm: Permutation, x: int, j: int) -> Stat
     return state
 
 
-def reflect_about_uniform(state: StateVector, support, n: int | None = None) -> StateVector:
+def reflect_about_uniform(state: StateVector, support) -> StateVector:
     """Apply 2|u><u| - I per ancilla slice, u uniform over the support set."""
-    members, _ = support_members(support, n)
+    members = support_members(support)
     if members.size == 0:
         raise ValueError("reflection support must be nonempty")
     if members[0] < 0 or members[-1] >= (1 << state.n):
@@ -101,7 +101,7 @@ class PseudoIdentity:
         if bad_mode not in BAD_MODES or angle_mode not in ANGLE_MODES:
             raise ValueError(f"unknown mode ({bad_mode!r}, {angle_mode!r})")
         size = 1 << n
-        bad = np.unique(np.asarray(sorted(int(z) for z in bad_set), dtype=np.int64))
+        bad = support_members(bad_set)
         if bad.size and (bad[0] < 0 or bad[-1] >= size):
             raise ValueError(f"bad-set member out of range for {n} bits")
         if bad.size > bad_set_capacity(n, b):
@@ -133,10 +133,6 @@ class PseudoIdentity:
     @property
     def bad_size(self) -> int:
         return len(self.bad_set)
-
-    @property
-    def bad_fraction(self) -> float:
-        return self.bad_size / (1 << self.n)
 
     def count_bad(self, members) -> int:
         """|members ∩ bad set|."""
@@ -175,13 +171,11 @@ def build_pseudo_identity(
     """
     if n < 1:
         raise ValueError(f"main register needs at least 1 qubit, got {n}")
-    if bad_mode not in BAD_MODES or angle_mode not in ANGLE_MODES:
-        raise ValueError(f"unknown mode ({bad_mode!r}, {angle_mode!r})")
     size = 1 << n
     capacity = bad_set_capacity(n, b)
     rng = np.random.default_rng(0 if seed is None else seed)
     if explicit_bad_set is not None:
-        bad = np.unique(np.asarray(sorted(int(z) for z in explicit_bad_set), dtype=np.int64))
+        bad = support_members(explicit_bad_set)
         if bad.size > capacity:
             raise ValueError(f"explicit bad set of size {bad.size} exceeds floor(b * 2^n) = {capacity}")
     else:
@@ -290,8 +284,14 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
             raise ValueError(f"{expected_tag} block is truncated")
         return pos + 1, count
 
+    def main_value(token: str) -> int:
+        z = int(token)
+        if not 0 <= z < (1 << n):
+            raise ValueError(f"main value {z} out of range for {n} bits")
+        return z
+
     pos, bad_count = block(1, "bad")
-    bad = [int(lines[pos + i]) for i in range(bad_count)]
+    bad = [main_value(lines[pos + i]) for i in range(bad_count)]
     pos, angle_count = block(pos + bad_count, "angles")
     if angle_count == 0:
         cosines = np.full(1 << n, 1.0 - a, dtype=np.float64)
@@ -300,13 +300,16 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     else:
         if angle_count != (1 << n):
             raise ValueError(f"cosine block must list all {1 << n} values")
+        # 2^n lines with distinct in-range values define every cosine
         cosines = np.empty(1 << n, dtype=np.float64)
         seen = np.zeros(1 << n, dtype=bool)
-        for i in range(angle_count):
-            z_tok, c_tok = lines[pos + i].split()
-            z = int(z_tok)
-            cosines[z] = float(c_tok)
+        for line in lines[pos:pos + angle_count]:
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ValueError(f"cosine line must be 'z cosine', got {line!r}")
+            z = main_value(tokens[0])
+            if seen[z]:
+                raise ValueError(f"cosine block lists main value {z} twice")
+            cosines[z] = float(tokens[1])
             seen[z] = True
-        if not seen.all():
-            raise ValueError("cosine block leaves some main values undefined")
     return PseudoIdentity(n, k, a, b, bad, cosines, bad_mode, angle_mode, seed)

@@ -6,7 +6,6 @@ the top L bits of the integer encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +13,6 @@ import numpy as np
 DEFAULT_MAX_BITS = 16
 
 FAMILIES = ("identity", "bit-reversal", "xor-mask", "affine-gf2", "random", "from-table")
-
-ROLE_STAGE = "stage"    # prefix length 2j
-ROLE_TAGGED = "tagged"  # prefix length 2j + 2
 
 
 def _check_bits(n: int, max_bits: int) -> None:
@@ -73,15 +69,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation(family={self.family!r}, n={self.n}, seed={self.seed})"
-
-
-def apply_and_invert(perm: Permutation, v: int, direction: str = "forward") -> int:
-    """Look up f(v) or f^-1(v); directions are "forward" and "inverse"."""
-    if direction == "forward":
-        return perm.forward(v)
-    if direction == "inverse":
-        return perm.inverse(v)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def _reverse_bits(v: int, n: int) -> int:
@@ -187,25 +174,6 @@ def build_permutation(
     raise ValueError(f"unknown permutation family {family!r}")
 
 
-@dataclass(frozen=True)
-class PrefixSet:
-    """The y whose image agrees with x on a fixed number of top bits."""
-
-    members: tuple[int, ...]
-    n: int
-    x: int
-    j: int
-    role: str  # ROLE_STAGE (prefix 2j) or ROLE_TAGGED (prefix 2j + 2)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def prefix_len(self) -> int:
-        return 2 * self.j + (2 if self.role == ROLE_TAGGED else 0)
-
-
 def prefix_members(perm: Permutation, x: int, prefix_len: int) -> np.ndarray:
     """Sorted array of y with f(y) and x equal on the top prefix_len bits."""
     _check_value(x, perm.n)
@@ -213,24 +181,6 @@ def prefix_members(perm: Permutation, x: int, prefix_len: int) -> np.ndarray:
         raise ValueError(f"prefix length must be even in [0, {perm.n}], got {prefix_len}")
     shift = perm.n - prefix_len
     return np.nonzero((perm.table >> shift) == (x >> shift))[0].astype(np.int64)
-
-
-def prefix_set(perm: Permutation, x: int, prefix_len: int) -> PrefixSet:
-    members = prefix_members(perm, x, prefix_len)
-    return PrefixSet(tuple(int(y) for y in members), perm.n, x, prefix_len // 2, ROLE_STAGE)
-
-
-def stage_set(perm: Permutation, x: int, j: int) -> PrefixSet:
-    """Preimages consistent with x's top 2j bits; stage j's reflection axis."""
-    _check_stage(perm, j)
-    return prefix_set(perm, x, 2 * j)
-
-
-def tagged_set(perm: Permutation, x: int, j: int) -> PrefixSet:
-    """The quarter of stage j's set that the stage-j tag marks."""
-    _check_stage(perm, j)
-    members = prefix_members(perm, x, 2 * j + 2)
-    return PrefixSet(tuple(int(y) for y in members), perm.n, x, j, ROLE_TAGGED)
 
 
 def _check_stage(perm: Permutation, j: int) -> None:
@@ -281,11 +231,6 @@ def permutation_from_text(text: str, max_bits: int = DEFAULT_MAX_BITS) -> Permut
     if any(not 0 <= v < (1 << n) for v in table):
         raise ValueError("table entry out of range")
     return Permutation(n, table, "from-table", None, max_bits)
-
-
-def save_permutation(perm: Permutation, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(permutation_to_text(perm))
 
 
 def load_permutation(path, max_bits: int = DEFAULT_MAX_BITS) -> Permutation:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm import PrefixSet
-
 STATE_TOL = 1e-9    # state-level comparisons
 SCALAR_TOL = 1e-12  # scalar identities
 
@@ -82,25 +80,30 @@ class StateVector:
         return f"StateVector(n={self.n}, k={self.k}, norm={self.norm():.6g})"
 
 
-def support_members(support, n: int | None = None) -> tuple[np.ndarray, int | None]:
-    """Coerce a PrefixSet or an iterable of ints to a sorted unique array."""
-    if isinstance(support, PrefixSet):
-        return np.asarray(support.members, dtype=np.int64), support.n
-    members = np.unique(np.asarray(sorted(int(v) for v in support), dtype=np.int64))
-    return members, n
+def support_members(support) -> np.ndarray:
+    """A support set as a sorted int64 array of unique members.
+
+    Accepts an array or any iterable of ints.
+    """
+    if not isinstance(support, np.ndarray):
+        support = np.fromiter(support, dtype=np.int64)
+    members = np.sort(support.astype(np.int64, copy=False))
+    repeated = members[1:] == members[:-1]
+    if repeated.any():
+        members = members[np.concatenate(([True], ~repeated))]
+    return members
 
 
 def make_signed_uniform(support, flipped=(), k: int = 0, n: int | None = None) -> StateVector:
     """Unit vector with +1/sqrt(|S|) on S\\T and -1/sqrt(|S|) on T, at ancilla 0.
 
-    S is `support`, T is `flipped` (must be a subset). Accepts PrefixSet or
-    plain integer collections; a plain support needs the register size n.
+    S is `support`, T is `flipped` (must be a subset), both sets of integers
+    in a main register of n qubits.
     """
-    s_members, s_n = support_members(support, n)
-    t_members, t_n = support_members(flipped, n)
-    n = s_n if s_n is not None else (n if n is not None else t_n)
     if n is None:
-        raise ValueError("register size n is required for plain integer supports")
+        raise ValueError("register size n is required")
+    s_members = support_members(support)
+    t_members = support_members(flipped)
     if s_members.size == 0:
         raise ValueError("support must be nonempty")
     if s_members[0] < 0 or s_members[-1] >= (1 << n):

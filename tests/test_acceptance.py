@@ -66,7 +66,7 @@ def test_criterion_2_quarter_marked_reflection_is_exact():
         support = rng.choice(size, size=s_size, replace=False)
         flipped = rng.choice(support, size=s_size // 4, replace=False)
         state = make_signed_uniform(support, flipped, k=0, n=n)
-        reflect_about_uniform(state, support, n=n)
+        reflect_about_uniform(state, support)
         ok = ok and state.distance_to(make_signed_uniform(flipped, k=0, n=n)) <= 1e-12
     record("2 quarter-marked reflection lands exactly", ok)
 

@@ -21,6 +21,7 @@ from qperminv import (
     sample_pairs,
     sample_xs,
 )
+from qperminv.perm import prefix_members
 
 
 def random_instance(rng, n_max=8):
@@ -55,6 +56,25 @@ def test_error_length_uniform_all_good_worst_case():
     a = 0.02
     jop = build_pseudo_identity(4, 1, a=a, b=0.0)
     assert error_length(jop, range(16)) == pytest.approx(math.sqrt(2 * a), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_error_length_does_not_depend_on_flipped_set(n):
+    # J only rotates each (|z,0>, |z,1>) pair, so ||(J - I) psi(S, T)||^2 is
+    # (1/|S|) * sum over S of (2 - 2 c_z) whatever T is
+    rng = np.random.default_rng(n)
+    perm = build_permutation("random", n, seed=n)
+    jop = build_pseudo_identity(n, 1, a=1e-2, b=0.25, angle_mode="random",
+                                bad_mode="random-angle", seed=n)
+    for x in range(1 << n):
+        for prefix_len in range(0, n + 1, 2):
+            support = prefix_members(perm, x, prefix_len)
+            closed = math.sqrt(float(np.mean(2.0 - 2.0 * jop.cosines[support])))
+            flips = [(), support, rng.choice(support, size=support.size // 2, replace=False)]
+            if prefix_len < n:
+                flips.append(prefix_members(perm, x, prefix_len + 2))
+            for flipped in flips:
+                assert abs(error_length(jop, support, flipped) - closed) <= 1e-12
 
 
 def test_error_length_bound_trivial_and_singleton():

@@ -3,12 +3,20 @@
 import json
 import hashlib
 import os
+import sys
+import threading
 
 import pytest
 
-from qperminv import derive_seed
+from qperminv import build_pseudo_identity, derive_seed, serialize_pseudo_identity
 from qperminv.cli import main
-from qperminv.harness import RUN_CSV_COLUMNS, SWEEP_CSV_COLUMNS, atomic_write_text, fmt17
+from qperminv.harness import (
+    RUN_CSV_COLUMNS,
+    SWEEP_CSV_COLUMNS,
+    atomic_write_text,
+    fmt17,
+    resolve_workers,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +49,69 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(str(path), "hello\n")
     assert read(path) == b"hello\n"
     assert os.listdir(tmp_path) == ["x.txt"]
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    path = str(tmp_path / "shared.txt")
+    texts = ["a" * 5000 + "\n", "b" * 7000 + "\n"]
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(300):
+                atomic_write_text(path, text)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() in texts
+    assert os.listdir(tmp_path) == ["shared.txt"]
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "x.txt"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(path), "\ud800")
+    assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_permissions_follow_umask(tmp_path):
+    atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+    with open(tmp_path / "plain.txt", "w") as fh:
+        fh.write("x\n")
+    assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(tmp_path / "plain.txt").st_mode
+
+
+def test_resolve_workers_clamps_to_cpu_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("QPERMINV_WORKERS", "100000")
+    assert resolve_workers(None) == cpus
+    monkeypatch.setenv("QPERMINV_WORKERS", "0")
+    assert resolve_workers(4) == 1
+    monkeypatch.delenv("QPERMINV_WORKERS")
+    assert resolve_workers(100000) == cpus
+    assert resolve_workers(None) == 1
+
+
+def test_bad_workers_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QPERMINV_WORKERS", "abc")
+    assert main(["run-inv", "--family", "identity", "--n", "2",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "QPERMINV_WORKERS" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_gen_perm_bytes_and_manifest(tmp_path, capsys):
@@ -170,6 +241,41 @@ def test_check_lemmas_passes_and_reports(tmp_path, capsys):
     assert "error-length-bound" in names and "parameter-identity" in names
     for check in report["checks"]:
         assert set(check) == {"name", "measured", "bound", "margin", "pass"}
+
+
+@pytest.mark.parametrize(
+    "flags,match",
+    [
+        (["--count", "0"], "--count"),
+        (["--n", "1"], "--n"),
+        (["--n", "7"], "--n"),
+        (["--n", "18"], "--n"),
+        (["--k", "0"], "--k"),
+    ],
+    ids=["count-0", "n-1", "n-7", "n-18", "k-0"],
+)
+def test_check_lemmas_rejects_bad_flags(flags, match, capsys):
+    assert main(["check-lemmas", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert match in captured.err
+
+
+@pytest.mark.parametrize("command", ["run-avinv", "test-stages"])
+def test_j_file_with_out_of_range_cosine_line(tmp_path, command, capsys):
+    jop = build_pseudo_identity(4, 1, a=1e-3, b=0.125, angle_mode="random",
+                                bad_mode="random-angle", seed=5)
+    lines = serialize_pseudo_identity(jop).splitlines()
+    lines[-1] = "99 0.5"
+    j_path = tmp_path / "op.txt"
+    j_path.write_text("\n".join(lines) + "\n")
+    argv = [command, "--family", "random", "--n", "4", "--seed", "5", "--j-file", str(j_path)]
+    if command == "test-stages":
+        argv += ["--provider", "pseudo"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "99" in err
 
 
 def test_test_stages_exact_passes(tmp_path, capsys):

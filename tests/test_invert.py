@@ -20,7 +20,6 @@ from qperminv import (
     initial_state,
     make_signed_uniform,
     run_av_inv,
-    run_av_inv_unrolled,
     run_inv,
     run_stepwise_test,
 )
@@ -151,15 +150,6 @@ def test_run_av_inv_hand_computed_displaced_bystander():
     grid = report.final_state.grid()
     assert grid[:, 0].tolist() == [-0.25, -0.25, -0.25, 0.75]
     assert grid[:, 1].tolist() == [-0.25, 0.25, 0.25, 0.25]
-
-
-def test_run_av_inv_unrolled_matches_composed():
-    perm = build_permutation("random", 6, seed=14)
-    jop = build_pseudo_identity(6, 1, a=1e-3, b=1 / 8, angle_mode="random", seed=2)
-    for x in (7, 30, 55):
-        composed = run_av_inv(perm, x, jop, keep_state=True).final_state
-        unrolled = run_av_inv_unrolled(perm, x, jop)
-        assert composed.distance_to(unrolled) <= 1e-12
 
 
 def test_run_av_inv_displaced_target_degrades_n6():

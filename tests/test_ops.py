@@ -12,11 +12,13 @@ from qperminv import (
     build_permutation,
     build_pseudo_identity,
     error_length,
+    initial_state,
     make_signed_uniform,
     measure_identity_defect,
     measure_reflection_defect,
     parse_pseudo_identity,
     reflect_about_uniform,
+    run_av_inv,
     serialize_pseudo_identity,
 )
 from qperminv.perm import prefix_members
@@ -140,7 +142,7 @@ def test_grover_quarter_landing():
         support = rng.choice(size, size=s_size, replace=False)
         flipped = rng.choice(support, size=s_size // 4, replace=False)
         state = make_signed_uniform(support, flipped, k=0, n=n)
-        reflect_about_uniform(state, support, n=n)
+        reflect_about_uniform(state, support)
         target = make_signed_uniform(flipped, k=0, n=n)
         assert state.distance_to(target) <= 1e-12
 
@@ -269,6 +271,25 @@ def test_pseudo_reflection_is_involution():
         assert np.linalg.norm(state.amps - before) <= 1e-9
 
 
+def test_pseudo_reflection_matches_composed_half_steps():
+    # J^dag (R x I) J spelled out as forward rotation, exact reflection and
+    # reverse rotation, stage by stage and over a whole error-tolerant run
+    perm = build_permutation("random", 6, seed=14)
+    jop = build_pseudo_identity(6, 1, a=1e-3, b=1 / 8, angle_mode="random", seed=2)
+    for x in (7, 30, 55):
+        composed = initial_state(6, 1)
+        for j in range(3):
+            apply_tagging(composed, perm, x, j)
+            single = composed.copy()
+            apply_pseudo_reflection(single, perm, x, j, jop)
+            apply_pseudo_identity(composed, jop)
+            apply_reflection_exact(composed, perm, x, j)
+            apply_pseudo_identity(composed, jop, adjoint=True)
+            assert composed.distance_to(single) <= 1e-12
+        run = run_av_inv(perm, x, jop, keep_state=True).final_state
+        assert run.distance_to(composed) <= 1e-12
+
+
 def test_pseudo_reflection_deviation_bounded_by_error_length():
     # against the exact reflection, the deviation on a signed stage state
     # stays within twice the error length of that state
@@ -338,3 +359,29 @@ def test_serialization_rejects_garbage():
         parse_pseudo_identity("")
     with pytest.raises(ValueError, match="header"):
         parse_pseudo_identity("1 2 3\n")
+
+
+def _random_mode_text_with(line_index, replacement):
+    jop = build_pseudo_identity(4, 1, a=1e-3, b=0.125, angle_mode="random",
+                                bad_mode="random-angle", seed=5)
+    lines = serialize_pseudo_identity(jop).splitlines()
+    lines[line_index] = replacement
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "line_index,replacement,match",
+    [
+        (-1, "99 0.5", "out of range"),
+        (-1, "-1 0.5", "out of range"),
+        (-1, "0 0.5", "twice"),
+        (-1, "15", "z cosine"),
+        (-1, "15 0.5 extra", "z cosine"),
+        (2, "16", "out of range"),
+    ],
+    ids=["cosine-z-99", "cosine-z-negative", "cosine-z-twice", "cosine-no-value",
+         "cosine-extra-token", "bad-set-z-16"],
+)
+def test_parse_rejects_bad_main_values(line_index, replacement, match):
+    with pytest.raises(ValueError, match=match):
+        parse_pseudo_identity(_random_mode_text_with(line_index, replacement))

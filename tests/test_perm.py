@@ -2,19 +2,19 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qperminv import (
     Permutation,
-    apply_and_invert,
+    StateVector,
+    apply_tagging,
     build_permutation,
     permutation_from_text,
     permutation_to_text,
     prefix_membership_stats,
-    prefix_set,
-    stage_set,
-    tagged_set,
 )
+from qperminv.perm import prefix_members
 
 FAMILY_CASES = [
     ("identity", {}),
@@ -90,14 +90,14 @@ def test_unknown_family_rejected():
         build_permutation("no-such-family", 2)
 
 
-def test_apply_and_invert_directions():
-    perm = build_permutation("identity", 2)
-    assert apply_and_invert(perm, 3, "forward") == 3
-    assert apply_and_invert(perm, 3, "inverse") == 3
-    with pytest.raises(ValueError, match="direction"):
-        apply_and_invert(perm, 0, "sideways")
+def test_forward_and_inverse_lookups():
+    perm = build_permutation("xor-mask", 2, mask=1)
+    assert perm.forward(3) == 2
+    assert perm.inverse(2) == 3
     with pytest.raises(ValueError, match="range"):
-        apply_and_invert(perm, 4, "forward")
+        perm.forward(4)
+    with pytest.raises(ValueError, match="range"):
+        perm.inverse(-1)
 
 
 @pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
@@ -109,13 +109,15 @@ def test_roundtrip_is_identity(family, kwargs):
 
 def test_prefix_set_empty_prefix_is_everything():
     perm = build_permutation("random", 4, seed=1)
-    assert prefix_set(perm, 0b0110, 0).members == tuple(range(16))
+    assert prefix_members(perm, 0b0110, 0).tolist() == list(range(16))
 
 
 def test_prefix_set_identity_example():
     # top two bits of y equal to 10
     perm = build_permutation("identity", 4)
-    assert prefix_set(perm, 0b1010, 2).members == (8, 9, 10, 11)
+    members = prefix_members(perm, 0b1010, 2)
+    assert members.dtype == np.int64
+    assert members.tolist() == [8, 9, 10, 11]
 
 
 @pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
@@ -123,34 +125,42 @@ def test_prefix_set_sizes(family, kwargs):
     perm = build_permutation(family, 6, **kwargs)
     for x in (0, 13, 63):
         for prefix_len in (0, 2, 4, 6):
-            assert prefix_set(perm, x, prefix_len).size == 2 ** (6 - prefix_len)
+            assert prefix_members(perm, x, prefix_len).size == 2 ** (6 - prefix_len)
 
 
 def test_prefix_set_rejects_bad_args():
     perm = build_permutation("identity", 4)
     with pytest.raises(ValueError, match="even"):
-        prefix_set(perm, 0, 3)
+        prefix_members(perm, 0, 3)
     with pytest.raises(ValueError, match="range"):
-        prefix_set(perm, 16, 2)
+        prefix_members(perm, 16, 2)
     with pytest.raises(ValueError):
-        prefix_set(perm, 0, 6)
+        prefix_members(perm, 0, 6)
+    with pytest.raises(ValueError):
+        prefix_members(perm, 0, -2)
 
 
 def test_nesting_and_quarter_ratio():
     perm = build_permutation("random", 8, seed=3)
     for x in (0, 77, 255):
         for j in range(4):
-            stage = set(stage_set(perm, x, j).members)
-            tagged = set(tagged_set(perm, x, j).members)
-            assert tagged <= stage
-            assert len(tagged) * 4 == len(stage)
+            stage = prefix_members(perm, x, 2 * j)
+            tagged = prefix_members(perm, x, 2 * j + 2)
+            assert np.isin(tagged, stage).all()
+            assert tagged.size * 4 == stage.size
 
 
 def test_tagged_set_is_next_stage_set():
+    # the stage-j tag, restricted to the stage-j set, marks exactly the y
+    # with the next (two bits longer) prefix
     perm = build_permutation("random", 6, seed=9)
     for x in (5, 40):
-        for j in range(2):
-            assert tagged_set(perm, x, j).members == stage_set(perm, x, j + 1).members
+        for j in range(3):
+            state = StateVector(6, 0)
+            state.amps[prefix_members(perm, x, 2 * j)] = 1.0
+            apply_tagging(state, perm, x, j)
+            marked = np.nonzero(state.amps.real < 0)[0]
+            assert marked.tolist() == prefix_members(perm, x, 2 * j + 2).tolist()
 
 
 def test_prefix_sets_partition_domain():
@@ -159,7 +169,7 @@ def test_prefix_sets_partition_domain():
         seen = []
         for prefix in range(2 ** (2 * j)):
             x = prefix << (6 - 2 * j)
-            seen.extend(prefix_set(perm, x, 2 * j).members)
+            seen.extend(prefix_members(perm, x, 2 * j).tolist())
         assert sorted(seen) == list(range(64))
 
 

@@ -9,9 +9,10 @@ from qperminv import (
     build_permutation,
     dump_state,
     make_signed_uniform,
-    prefix_set,
     vector_algebra,
 )
+from qperminv.perm import prefix_members
+from qperminv.qstate import support_members
 
 
 def random_state(n, k, rng):
@@ -66,9 +67,20 @@ def test_signed_uniform_norm():
 
 def test_signed_uniform_accepts_prefix_sets():
     perm = build_permutation("identity", 4)
-    pset = prefix_set(perm, 0b1010, 2)
-    state = make_signed_uniform(pset)
+    members = prefix_members(perm, 0b1010, 2)
+    state = make_signed_uniform(members, n=4)
     assert abs(state.amps[8] - 0.5) < 1e-15
+
+
+def test_support_members_sorts_and_dedupes():
+    expected = [1, 3, 5]
+    for support in ({5, 1, 3}, [3, 5, 1, 3], (v for v in (5, 5, 1, 3)),
+                    np.array([5, 1, 3, 1], dtype=np.int32), np.array([1, 3, 5])):
+        members = support_members(support)
+        assert members.dtype == np.int64
+        assert members.tolist() == expected
+    assert support_members(()).tolist() == []
+    assert support_members(np.array([7])).tolist() == [7]
 
 
 def test_signed_uniform_rejects_bad_sets():
