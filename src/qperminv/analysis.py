@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .invert import run_av_inv
+from .invert import success_probabilities
 from .ops import PseudoIdentity, apply_pseudo_identity
-from .perm import Permutation, prefix_members
+from .perm import Permutation, _check_values
 from .qstate import make_signed_uniform, support_members
 
 BOUND_TOL = 1e-9
@@ -99,7 +99,7 @@ def check_residual_bound(jop: PseudoIdentity, support, flipped=()) -> ResidualRe
 
 @dataclass(eq=False)
 class SweepSummary:
-    """Aggregate of a per-x sweep, either of error lengths or of full runs."""
+    """Aggregate of a per-x sweep, either of error lengths or of inversion residuals."""
 
     kind: str            # "error-length" | "inversion-residual"
     n: int
@@ -170,11 +170,12 @@ def expected_error_sweep(
 ) -> SweepSummary:
     """Mean error length over x at stage j, with the exact overlap identity.
 
-    with_tagged sweeps the signed state over (stage set, tagged set); without
-    it the plain uniform state over the stage set. Exhaustive sweeps (xs=None)
-    check that the mean of |bad ∩ S| / |S| equals |bad| / 2^n exactly and that
-    the mean error length stays within 2*sqrt(|bad|/2^n) + 2*sqrt(a)*2^(n/2);
-    sampled sweeps get three standard errors of slack on the mean bound.
+    with_tagged only picks the stage range: the flipped set does not change
+    ||(J - I) psi(S, T)||^2 = (1/|S|) sum_{y in S} (2 - 2 c_y), and one bincount
+    over the classes f(y) >> (n - 2j) gives it for every x. Exhaustive sweeps
+    (xs=None) check that the mean of |bad ∩ S| / |S| equals |bad| / 2^n
+    exactly and that the mean error length stays within 2*sqrt(|bad|/2^n) +
+    2*sqrt(a)*2^(n/2); sampled sweeps get three standard errors of slack.
     """
     n = perm.n
     if jop.n != n:
@@ -183,18 +184,14 @@ def expected_error_sweep(
     if not 0 <= j <= max_j:
         raise ValueError(f"stage index {j} out of range [0, {max_j}]")
     exhaustive = xs is None
-    xs = range(perm.size) if exhaustive else [int(x) for x in xs]
-    lengths = []
-    ratio_sum = Fraction(0)
-    count = 0
-    for x in xs:
-        support = prefix_members(perm, x, 2 * j)
-        flipped = prefix_members(perm, x, 2 * j + 2) if with_tagged else ()
-        lengths.append(error_length(jop, support, flipped))
-        ratio_sum += Fraction(jop.count_bad(support), support.size)
-        count += 1
-    lengths = np.asarray(lengths, dtype=np.float64)
-    mean_ratio = ratio_sum / count
+    shift = n - 2 * j
+    classes = (np.arange(perm.size) if exhaustive else _check_values(xs, n)) >> shift
+    keys = perm.table >> shift
+    sums = np.bincount(keys, weights=2.0 - 2.0 * jop.cosines, minlength=perm.size >> shift)
+    bad_counts = np.bincount(keys[jop._bad_lut], minlength=perm.size >> shift)
+    lengths = np.sqrt(np.maximum(sums, 0.0) / (1 << shift))[classes]
+    count = classes.size
+    mean_ratio = Fraction(int(bad_counts[classes].sum()), count << shift)
     expected_ratio = Fraction(jop.bad_size, perm.size)
     mean_len = float(lengths.mean())
     bound = 2.0 * math.sqrt(jop.bad_size / perm.size) + good_term_coarse(n, jop.a)
@@ -226,9 +223,10 @@ def inversion_residual_stats(
     q: float,
     xs=None,
 ) -> SweepSummary:
-    """Run the error-tolerant inversion per x and aggregate the residuals.
+    """Aggregate the error-tolerant inversion's residuals over x.
 
-    The residual of a run is sqrt(1 - success probability). On exhaustive
+    Success probabilities come from `success_probabilities`' closed form. The
+    residual of a run is sqrt(1 - success probability). On exhaustive
     sweeps the mean must stay within 2n*sqrt(|bad|/2^n) plus the coarse good
     term, whenever that bound is at most 1; the count{residual > 1/q} is also
     checked against the mean via the usual averaging argument.
@@ -237,15 +235,8 @@ def inversion_residual_stats(
         raise ValueError(f"q must be positive, got {q}")
     n = perm.n
     exhaustive = xs is None
-    xs = range(perm.size) if exhaustive else [int(x) for x in xs]
-    v2 = []
-    success = []
-    for x in xs:
-        report = run_av_inv(perm, x, jop)
-        v2.append(report.v2_norm)
-        success.append(report.success_prob)
-    v2 = np.asarray(v2, dtype=np.float64)
-    success = np.asarray(success, dtype=np.float64)
+    success = success_probabilities(perm, jop, np.arange(perm.size) if exhaustive else xs)
+    v2 = np.sqrt(np.maximum(0.0, 1.0 - success))
     count = v2.size
     mean_v2 = float(v2.mean())
     b_actual = jop.bad_size / perm.size
@@ -344,8 +335,8 @@ class Params:
 
 
 def compute_params(r: float, n: int) -> Params:
-    if r < 1:
-        raise ValueError(f"failure ratio parameter r must be >= 1, got {r}")
+    if not 1 <= r < math.inf:
+        raise ValueError(f"failure ratio parameter r must be finite and >= 1, got {r}")
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
     p = 4.0 * n * n * (r + 1.0) ** 4
@@ -356,7 +347,7 @@ def compute_params(r: float, n: int) -> Params:
 
 def contradiction_check(r: float) -> bool:
     """Strict inequality (1/r - 1/q^2) / (1 - 1/q^2) > 1/q at q = r + 1."""
-    if r < 1:
-        raise ValueError(f"failure ratio parameter r must be >= 1, got {r}")
+    if not 1 <= r < math.inf:
+        raise ValueError(f"failure ratio parameter r must be finite and >= 1, got {r}")
     q = r + 1.0
     return (1.0 / r - 1.0 / q**2) / (1.0 - 1.0 / q**2) > 1.0 / q

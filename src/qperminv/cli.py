@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -93,7 +94,10 @@ def _resolve_xs(selector: str, n: int, master_seed: int):
     if selector == "all":
         return list(range(1 << n))
     if selector.startswith("sample:"):
-        count = int(selector.split(":", 1)[1])
+        try:
+            count = int(selector.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"cannot parse --x value {selector!r}") from exc
         if count < 1:
             raise UsageError("sample count must be positive")
         return sample_xs(n, count, derive_seed(master_seed, f"xs/n={n}"))
@@ -272,12 +276,12 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         return _usage(f"invalid sweep config: {exc}")
     try:
-        workers = resolve_workers(args.workers)
+        resolve_workers(args.workers)  # still validated; closed forms need no fan-out
     except ValueError as exc:
         return _usage(str(exc))
     try:
-        rows, derived = sweep_rows(config, workers)
-    except (ValueError, RuntimeError) as exc:
+        rows, derived = sweep_rows(config)
+    except ValueError as exc:
         return _failure(str(exc))
     csv_text = sweep_to_csv(rows)
     out_dir = resolve_out_dir(args.out_dir)
@@ -365,6 +369,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag in ("threshold", "a", "b", "r"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            return _usage(f"--{flag} must be a finite number, got {value}")
     return args.func(args)
 
 

@@ -224,11 +224,12 @@ def load_sweep_config(path: str) -> dict:
         return validate_sweep_config(json.load(fh))
 
 
-def sweep_rows(config: dict, workers: int = 1) -> tuple[list[list[str]], dict]:
-    """Evaluate a sweep grid; rows come back in grid (lexicographic) order."""
+def sweep_rows(config: dict) -> tuple[list[list[str]], dict]:
+    """Evaluate a sweep grid in closed form; rows come in grid (lexicographic) order."""
     master = config["master_seed"]
     k = config["k"]
     grid = config["grid"]
+    threshold = float(config["exceed_threshold"])
     derived: dict[str, int] = {}
     rows = []
     for n in grid["n"]:
@@ -263,10 +264,7 @@ def sweep_rows(config: dict, workers: int = 1) -> tuple[list[list[str]], dict]:
                         bad_mode=config["bad_mode"], angle_mode=config["angle_mode"],
                         seed=j_seed,
                     )
-                    reports = run_batch(perm, jop, xs if xs is not None else range(1 << n),
-                                        k, False, 0.0, workers)
-                    v2 = np.asarray([r.v2_norm for r in reports])
-                    succ = np.asarray([r.success_prob for r in reports])
+                    stats = inversion_residual_stats(perm, jop, 1.0 / threshold, xs)
                     tagged = [
                         expected_error_sweep(perm, jop, j, with_tagged=True, xs=xs).mean_error_len
                         for j in range(n // 2)
@@ -278,9 +276,9 @@ def sweep_rows(config: dict, workers: int = 1) -> tuple[list[list[str]], dict]:
                     rows.append([
                         _cell(n), family, _cell(perm_seed), _cell(k), _cell(float(a)),
                         _cell(b), _cell(bad_size), _cell(j_seed), x_mode, _cell(x_count),
-                        _cell(float(succ.mean())), _cell(float(v2.mean())), _cell(float(v2.max())),
-                        _cell(float(config["exceed_threshold"])),
-                        _cell(int(np.count_nonzero(v2 > config["exceed_threshold"]))),
+                        _cell(stats.mean_success), _cell(stats.mean_v2), _cell(stats.max_v2),
+                        _cell(threshold),
+                        _cell(int(np.count_nonzero(stats.v2_values > threshold))),
                         _cell(float(np.mean(tagged))), _cell(float(np.mean(plain))),
                     ])
     return rows, derived

@@ -22,7 +22,7 @@ from .ops import (
     apply_tagging,
     reflect_about_uniform,
 )
-from .perm import Permutation, _check_value, prefix_members
+from .perm import Permutation, _check_value, _check_values, prefix_members
 from .qstate import StateVector, basis_overlap, make_signed_uniform
 
 EXACT_THRESHOLD = 1.0 - 1e-9
@@ -201,6 +201,27 @@ def run_av_inv(
     if jop.n != perm.n:
         raise ValueError(f"operator acts on {jop.n} main qubits but permutation has {perm.n}")
     return _run(perm, x, PseudoReflectionProvider(jop), jop.k, trace, threshold, keep_state, jop)
+
+
+def success_probabilities(perm: Permutation, jop: PseudoIdentity, xs) -> np.ndarray:
+    """`run_av_inv`'s success probability for every x in xs, in closed form.
+
+    J acts inside each (|y,0>, |y,1>) pair, so it commutes with every tag, and
+    J J^dag = I between stages: the run telescopes to J^dag (M_x x I) J |u,0>,
+    where M_x is the exact staged run. M_x is real and orthogonal with
+    M_x u = e_{y*}, y* = f^-1(x), so <y*|M_x v> = <u|v> for every v. With the
+    unit vectors v_y = (c_y, s_y) and their mean v̄, the amplitude at (y*, 0) is
+    c_{y*} mean(c) + s_{y*} mean(s) = 1 - (|v_{y*} - v̄|^2 + mean_y |v_y - v̄|^2) / 2.
+    The right side is free of cancellation and exactly 1 when all v_y agree.
+    Success is its square: O(2^n) for all x, whatever the operator.
+    """
+    if jop.n != perm.n:
+        raise ValueError(f"operator acts on {jop.n} main qubits but permutation has {perm.n}")
+    ys = perm.inverse_table[_check_values(xs, perm.n)]
+    dc, ds = jop.cosines - jop.cosines.mean(), jop.sines - jop.sines.mean()
+    spread = dc * dc + ds * ds
+    amps = 1.0 - 0.5 * (spread[ys] + spread.mean())
+    return amps * amps
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perm import Permutation, _check_stage, _check_value, prefix_members
+from .perm import DEFAULT_MAX_BITS, Permutation, _check_stage, _check_value, prefix_members
 from .qstate import StateVector, support_members
 
 BAD_MODES = ("full-rotation", "random-angle")
@@ -267,6 +267,8 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     if len(head) != 6:
         raise ValueError("header must be 'n k a b mode seed'")
     n, k = int(head[0]), int(head[1])
+    if not 1 <= n <= DEFAULT_MAX_BITS or k < 1:
+        raise ValueError(f"header needs n in [1, {DEFAULT_MAX_BITS}] and k >= 1, got n={n}, k={k}")
     a, b = float(head[2]), float(head[3])
     if "/" not in head[4]:
         raise ValueError("mode must be 'angle_mode/bad_mode'")

@@ -27,6 +27,16 @@ def _check_value(v: int, n: int) -> None:
         raise ValueError(f"value {v} out of range for {n} bits")
 
 
+def _check_values(xs, n: int) -> np.ndarray:
+    """xs as a nonempty int64 array of values in [0, 2^n)."""
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+    if xs.size == 0:
+        raise ValueError("need at least one x value")
+    _check_value(int(xs.min()), n)
+    _check_value(int(xs.max()), n)
+    return xs
+
+
 class Permutation:
     """Explicit bijection on n-bit values with a precomputed inverse table."""
 

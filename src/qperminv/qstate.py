@@ -13,6 +13,7 @@ import numpy as np
 
 STATE_TOL = 1e-9    # state-level comparisons
 SCALAR_TOL = 1e-12  # scalar identities
+MAX_STATE_BYTES = 1 << 30  # no state vector may exceed 1 GiB
 
 
 class StateVector:
@@ -23,6 +24,8 @@ class StateVector:
     def __init__(self, n: int, k: int, amps=None):
         if n < 1 or k < 0:
             raise ValueError(f"invalid register sizes n={n}, k={k}")
+        if 16 << (n + k) > MAX_STATE_BYTES:
+            raise ValueError(f"state of 16 * 2^{n + k} bytes exceeds the {MAX_STATE_BYTES}-byte cap")
         dim = 1 << (n + k)
         if amps is None:
             amps = np.zeros(dim, dtype=np.complex128)
@@ -108,8 +111,10 @@ def make_signed_uniform(support, flipped=(), k: int = 0, n: int | None = None) -
         raise ValueError("support must be nonempty")
     if s_members[0] < 0 or s_members[-1] >= (1 << n):
         raise ValueError(f"support member out of range for {n} bits")
-    if t_members.size and not np.isin(t_members, s_members).all():
-        raise ValueError("flipped set must be a subset of the support")
+    if t_members.size:
+        pos = np.searchsorted(s_members, t_members)
+        if pos[-1] == s_members.size or (s_members[pos] != t_members).any():
+            raise ValueError("flipped set must be a subset of the support")
     state = StateVector(n, k)
     grid = state.grid()
     amp = 1.0 / np.sqrt(s_members.size)

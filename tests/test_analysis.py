@@ -253,6 +253,11 @@ def test_compute_params_rejects_bad_args():
         compute_params(0.5, 4)
     with pytest.raises(ValueError, match="even"):
         compute_params(1, 3)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            compute_params(r, 4)
+        with pytest.raises(ValueError, match="finite"):
+            contradiction_check(r)
 
 
 def test_contradiction_inequality():

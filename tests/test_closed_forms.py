@@ -1,0 +1,96 @@
+"""Closed-form sweep aggregates against the dense simulator.
+
+`success_probabilities` and `expected_error_sweep` never build a state
+vector; here they are checked, x by x, against `run_av_inv` and against a
+loop of dense `error_length` calls.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qperminv import (
+    build_permutation,
+    build_pseudo_identity,
+    error_length,
+    expected_error_sweep,
+    inversion_residual_stats,
+    run_av_inv,
+    sample_xs,
+)
+from qperminv.invert import success_probabilities
+from qperminv.perm import prefix_members
+
+FAMILIES = ("random", "identity", "bit-reversal", "affine-gf2")
+MODE_PAIRS = [(bad, angle) for bad in ("full-rotation", "random-angle")
+              for angle in ("worst-case", "random")]
+
+
+def _operator(n, k, bad_mode, angle_mode, seed):
+    return build_pseudo_identity(n, k, a=1e-3, b=min(1.0, 3 / (1 << n)), bad_mode=bad_mode,
+                                 angle_mode=angle_mode, seed=seed)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_success_matches_dense_run_for_every_x(n, family):
+    perm = build_permutation(family, n, seed=n + 3)
+    xs = np.arange(1 << n)
+    for bad_mode, angle_mode in MODE_PAIRS:
+        for k in (1, 2):
+            jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
+            dense = [run_av_inv(perm, int(x), jop).success_prob for x in xs]
+            closed = success_probabilities(perm, jop, xs)
+            assert np.abs(closed - dense).max() <= 1e-12, (bad_mode, angle_mode, k)
+
+
+def _dense_error_sweep(perm, jop, j, with_tagged, xs):
+    lengths = []
+    ratio_sum = Fraction(0)
+    for x in xs:
+        support = prefix_members(perm, int(x), 2 * j)
+        flipped = prefix_members(perm, int(x), 2 * j + 2) if with_tagged else ()
+        lengths.append(error_length(jop, support, flipped))
+        ratio_sum += Fraction(jop.count_bad(support), support.size)
+    return float(np.mean(lengths)), max(lengths), ratio_sum / len(lengths)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+def test_error_sweep_matches_dense_error_lengths(n, sampled):
+    perm = build_permutation("random", n, seed=n)
+    xs = sample_xs(n, 1 << (n - 2), seed=n + 1) if sampled else None
+    for bad_mode, angle_mode in MODE_PAIRS:
+        jop = _operator(n, 1, bad_mode, angle_mode, seed=n + 5)
+        for with_tagged, j_values in ((True, range(n // 2)), (False, range(n // 2 + 1))):
+            for j in j_values:
+                summary = expected_error_sweep(perm, jop, j, with_tagged=with_tagged, xs=xs)
+                mean, worst, ratio = _dense_error_sweep(
+                    perm, jop, j, with_tagged, range(1 << n) if xs is None else xs)
+                assert abs(summary.mean_error_len - mean) <= 1e-12
+                assert abs(summary.max_error_len - worst) <= 1e-12
+                assert summary.mean_ratio == ratio
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_identity_operator_inverts_exactly(n):
+    perm = build_permutation("random", n, seed=n)
+    jop = build_pseudo_identity(n, 1)
+    assert np.all(success_probabilities(perm, jop, np.arange(1 << n)) == 1.0)
+    summary = inversion_residual_stats(perm, jop, q=2.0)
+    assert np.all(summary.v2_values == 0.0) and summary.mean_success == 1.0
+
+
+def test_closed_forms_reject_bad_x():
+    perm = build_permutation("random", 4, seed=1)
+    jop = build_pseudo_identity(4, 1, a=1e-3, b=1 / 16, seed=2)
+    for xs in ([16], [0, 16], [3, -1], []):
+        with pytest.raises(ValueError, match="out of range|at least one"):
+            success_probabilities(perm, jop, xs)
+        with pytest.raises(ValueError, match="out of range|at least one"):
+            inversion_residual_stats(perm, jop, q=2.0, xs=xs)
+        with pytest.raises(ValueError, match="out of range|at least one"):
+            expected_error_sweep(perm, jop, 1, xs=xs)
+    with pytest.raises(ValueError, match="main qubits"):
+        success_probabilities(perm, build_pseudo_identity(6, 1), [0])

@@ -5,6 +5,7 @@ import hashlib
 import os
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -383,3 +384,53 @@ def test_env_overrides_out_dir(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out.strip()
     assert printed.startswith(str(tmp_path))
     assert os.path.exists(printed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-inv", "--family", "identity", "--n", "4", "--threshold", "nan"],
+    ["run-avinv", "--family", "identity", "--n", "4", "--a", "nan"],
+    ["test-stages", "--family", "identity", "--n", "4", "--provider", "pseudo", "--b", "inf"],
+    ["params", "--r", "nan", "--n", "4"],
+], ids=["threshold", "a", "b", "r"])
+def test_non_finite_flags_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, *(["--out", str(out)] if argv[0] != "params" else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "finite" in captured.err
+
+
+def test_non_integer_sample_count_is_a_usage_error(tmp_path, capsys):
+    assert main(["run-inv", "--family", "identity", "--n", "4", "--x", "sample:abc",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "sample:abc" in err
+
+
+def _fails_small(argv, match, capsys):
+    """Exit 1 with one error line, and no large allocation on the way."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error:") and match in err
+    assert peak < 16 << 20
+
+
+def test_oversized_ancilla_is_refused_before_allocation(tmp_path, capsys):
+    _fails_small(["run-inv", "--family", "identity", "--n", "2", "--k", "40",
+                  "--out", str(tmp_path / "r.csv")], "cap", capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("head", ["40 1", "4 0"], ids=["n-40", "k-0"])
+def test_operator_header_is_checked_before_allocation(head, tmp_path, capsys):
+    j_path = tmp_path / "op.txt"
+    j_path.write_text(f"{head} 0 0 worst-case/full-rotation -\nbad 0\nangles 0\n")
+    _fails_small(["run-avinv", "--family", "random", "--n", "4", "--j-file", str(j_path),
+                  "--out", str(tmp_path / "r.csv")], "header", capsys)

@@ -385,3 +385,9 @@ def _random_mode_text_with(line_index, replacement):
 def test_parse_rejects_bad_main_values(line_index, replacement, match):
     with pytest.raises(ValueError, match=match):
         parse_pseudo_identity(_random_mode_text_with(line_index, replacement))
+
+
+@pytest.mark.parametrize("head", ["0 1", "17 1", "40 1", "4 0"])
+def test_parse_checks_header_sizes(head):
+    with pytest.raises(ValueError, match="header"):
+        parse_pseudo_identity(f"{head} 0 0 worst-case/full-rotation -\nbad 0\nangles 0\n")

@@ -86,12 +86,24 @@ def test_support_members_sorts_and_dedupes():
 def test_signed_uniform_rejects_bad_sets():
     with pytest.raises(ValueError, match="subset"):
         make_signed_uniform({0, 1}, {2}, n=2)
+    # flipped members below, between and above the support, alone or with members of it
+    for flipped in ([1], [5], [0, 3], [7, 9], [2, 4, 6, 8, 11]):
+        with pytest.raises(ValueError, match="subset"):
+            make_signed_uniform([2, 4, 6, 8, 10], flipped, n=4)
     with pytest.raises(ValueError, match="nonempty"):
         make_signed_uniform(set(), n=2)
     with pytest.raises(ValueError, match="range"):
         make_signed_uniform({4}, n=2)
     with pytest.raises(ValueError, match="required"):
         make_signed_uniform({1})
+
+
+def test_state_size_is_capped_before_allocation():
+    with pytest.raises(ValueError, match="cap"):
+        StateVector(2, 40)
+    with pytest.raises(ValueError, match="cap"):
+        StateVector(16, 11)
+    assert StateVector(16, 1).dim == 1 << 17
 
 
 def test_vector_algebra_orthogonal_basis():
