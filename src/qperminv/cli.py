@@ -164,6 +164,8 @@ def cmd_gen_perm(args) -> int:
 
 
 def _cmd_run(args, with_pseudo: bool) -> int:
+    if args.k < 0:
+        return _usage(f"--k must be at least 0, got {args.k}")
     try:
         workers = resolve_workers(args.workers)
     except ValueError as exc:
@@ -229,6 +231,8 @@ def cmd_check_lemmas(args) -> int:
 
 
 def cmd_test_stages(args) -> int:
+    if args.k < 0:
+        return _usage(f"--k must be at least 0, got {args.k}")
     try:
         perm = _resolve_perm(args)
         xs = _resolve_xs(args.x, perm.n, args.master_seed)
@@ -255,7 +259,10 @@ def cmd_test_stages(args) -> int:
             threshold = PSEUDO_THRESHOLD
     if threshold is None:
         threshold = EXACT_THRESHOLD
-    report = run_stepwise_test(perm, xs, provider, threshold)
+    try:
+        report = run_stepwise_test(perm, xs, provider, threshold)
+    except ValueError as exc:
+        return _failure(str(exc))
     payload = {
         "provider": report.provider,
         "n": report.n,

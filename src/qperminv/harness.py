@@ -10,6 +10,7 @@ command emits a manifest with SHA-256 checksums of its outputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -204,18 +205,33 @@ SWEEP_DEFAULTS = {
 }
 
 
-def validate_sweep_config(config: dict) -> dict:
+@functools.cache
+def _sweep_validator():
+    """SWEEP_CONFIG_SCHEMA's validator, with integers that are JSON integers
+    (4.0 and true are not)."""
     import jsonschema
 
-    try:
-        jsonschema.validate(config, SWEEP_CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValueError(exc.message) from exc
+    base = jsonschema.Draft202012Validator
+    strict_int = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    return jsonschema.validators.extend(base, type_checker=strict_int)(SWEEP_CONFIG_SCHEMA)
+
+
+def validate_sweep_config(config: dict) -> dict:
+    """The config merged over SWEEP_DEFAULTS; ValueError when it is invalid."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_sweep_validator().iter_errors(config))
+    if error is not None:
+        raise ValueError(error.message)
     merged = dict(SWEEP_DEFAULTS)
     merged.update(config)
     for n in merged["grid"]["n"]:
         if n % 2 != 0:
             raise ValueError(f"grid n values must be even, got {n}")
+    for value in (*merged["grid"]["a"], merged["exceed_threshold"]):
+        if not math.isfinite(value):
+            raise ValueError(f"sweep numbers must be finite, got {value}")
     return merged
 
 

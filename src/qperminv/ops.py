@@ -111,7 +111,7 @@ class PseudoIdentity:
         cosines = np.asarray(cosines, dtype=np.float64)
         if cosines.shape != (size,):
             raise ValueError(f"need one cosine per main value, got shape {cosines.shape}")
-        if np.any(np.abs(cosines) > 1.0 + SCALAR_SLACK):
+        if not np.all(np.abs(cosines) <= 1.0 + SCALAR_SLACK):
             raise ValueError("cosines must lie in [-1, 1]")
         lut = np.zeros(size, dtype=bool)
         lut[bad] = True
@@ -244,14 +244,22 @@ def measure_reflection_defect(
 
 
 # Serialization: header "n k a b angle_mode/bad_mode seed", the sorted bad
-# set, then an explicit cosine block whenever either mode was randomized.
+# set, then an explicit cosine block whenever either mode was randomized or
+# the cosines differ from the ones the header implies (1 - a, 0 on the bad set).
+
+def _implied_cosines(n: int, a: float, bad) -> np.ndarray:
+    cosines = np.full(1 << n, 1.0 - a, dtype=np.float64)
+    cosines[np.asarray(bad, dtype=np.int64)] = 0.0
+    return cosines
+
 
 def serialize_pseudo_identity(jop: PseudoIdentity) -> str:
     seed_tok = "-" if jop.seed is None else str(jop.seed)
     lines = [f"{jop.n} {jop.k} {jop.a:.17g} {jop.b:.17g} {jop.angle_mode}/{jop.bad_mode} {seed_tok}"]
     lines.append(f"bad {jop.bad_size}")
     lines.extend(str(z) for z in jop.bad_set)
-    if jop.angle_mode == "random" or jop.bad_mode == "random-angle":
+    if (jop.angle_mode == "random" or jop.bad_mode == "random-angle"
+            or not np.array_equal(jop.cosines, _implied_cosines(jop.n, jop.a, jop.bad_set))):
         lines.append(f"angles {1 << jop.n}")
         lines.extend(f"{z} {jop.cosines[z]:.17g}" for z in range(1 << jop.n))
     else:
@@ -282,6 +290,8 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
         if tag != expected_tag:
             raise ValueError(f"expected '{expected_tag} <count>' line, got {tag!r}")
         count = int(count)
+        if count < 0:
+            raise ValueError(f"{expected_tag} count must be non-negative, got {count}")
         if pos + count >= len(lines):
             raise ValueError(f"{expected_tag} block is truncated")
         return pos + 1, count
@@ -296,9 +306,7 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     bad = [main_value(lines[pos + i]) for i in range(bad_count)]
     pos, angle_count = block(pos + bad_count, "angles")
     if angle_count == 0:
-        cosines = np.full(1 << n, 1.0 - a, dtype=np.float64)
-        if bad:
-            cosines[np.asarray(bad, dtype=np.int64)] = 0.0
+        cosines = _implied_cosines(n, a, bad)
     else:
         if angle_count != (1 << n):
             raise ValueError(f"cosine block must list all {1 << n} values")

@@ -16,16 +16,21 @@ SCALAR_TOL = 1e-12  # scalar identities
 MAX_STATE_BYTES = 1 << 30  # no state vector may exceed 1 GiB
 
 
+def check_register_sizes(n: int, k: int) -> None:
+    """Refuse register sizes no state vector may have, before any allocation."""
+    if n < 1 or k < 0:
+        raise ValueError(f"invalid register sizes n={n}, k={k}")
+    if 16 << (n + k) > MAX_STATE_BYTES:
+        raise ValueError(f"state of 16 * 2^{n + k} bytes exceeds the {MAX_STATE_BYTES}-byte cap")
+
+
 class StateVector:
     """Complex amplitudes over the (y, w) basis; dimensions fixed at creation."""
 
     __slots__ = ("n", "k", "amps")
 
     def __init__(self, n: int, k: int, amps=None):
-        if n < 1 or k < 0:
-            raise ValueError(f"invalid register sizes n={n}, k={k}")
-        if 16 << (n + k) > MAX_STATE_BYTES:
-            raise ValueError(f"state of 16 * 2^{n + k} bytes exceeds the {MAX_STATE_BYTES}-byte cap")
+        check_register_sizes(n, k)
         dim = 1 << (n + k)
         if amps is None:
             amps = np.zeros(dim, dtype=np.complex128)

@@ -434,3 +434,31 @@ def test_operator_header_is_checked_before_allocation(head, tmp_path, capsys):
     j_path.write_text(f"{head} 0 0 worst-case/full-rotation -\nbad 0\nangles 0\n")
     _fails_small(["run-avinv", "--family", "random", "--n", "4", "--j-file", str(j_path),
                   "--out", str(tmp_path / "r.csv")], "header", capsys)
+
+
+def test_test_stages_oversized_ancilla_fails_cleanly(capsys):
+    _fails_small(["test-stages", "--family", "identity", "--n", "4", "--provider", "pseudo",
+                  "--k", "40"], "cap", capsys)
+
+
+@pytest.mark.parametrize("command", ["run-inv", "run-avinv", "test-stages"])
+def test_negative_k_is_a_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--family", "identity", "--n", "4", "--k", "-1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "--k" in captured.err
+
+
+def test_v2_norm_is_summed_off_the_target(tmp_path):
+    # no bad set and one rotation for every y: the run is exact, so the
+    # residual must not pick up the rounding of sqrt(1 - success)
+    out = tmp_path / "r.csv"
+    assert main(["run-avinv", "--family", "random", "--n", "8", "--seed", "3", "--a", "1e-3",
+                 "--x", "0,1,2", "--out", str(out)]) == 0
+    rows = read(out).decode().splitlines()[1:]
+    col = RUN_CSV_COLUMNS.index("v2_norm")
+    assert len(rows) == 3
+    assert all(float(row.split(",")[col]) <= 1e-12 for row in rows)

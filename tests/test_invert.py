@@ -23,6 +23,7 @@ from qperminv import (
     run_inv,
     run_stepwise_test,
 )
+from qperminv.ops import PseudoIdentity
 from qperminv.perm import prefix_members
 
 FAMILY_CASES = [
@@ -166,6 +167,20 @@ def test_run_av_inv_empty_bad_set_is_exact_despite_budget():
     jop = build_pseudo_identity(6, 1, a=0.0, b=0.25, explicit_bad_set=[])
     for x in (0, 21, 63):
         assert run_av_inv(perm, x, jop).v2_norm <= 1e-9
+
+
+def test_residual_is_summed_off_the_target():
+    # one rotation for every y makes the error-tolerant run exact; success
+    # then rounds to just below 1 for some x, and sqrt(1 - success) would read
+    # about 1.5e-8 there instead of the rounding-level sum of the off-target
+    # squares
+    perm = build_permutation("random", 8, seed=1)
+    for cosine in (0.27, 0.73, 0.94):
+        jop = PseudoIdentity(8, 1, 1.0, 0.0, [], np.full(256, cosine))
+        reports = [run_av_inv(perm, x, jop) for x in range(256)]
+        assert any(r.success_prob != 1.0 for r in reports)
+        assert max(r.v2_norm for r in reports) <= 1e-12
+        assert all(abs(r.success_prob + r.v2_norm**2 - 1.0) <= 1e-12 for r in reports)
 
 
 def test_run_report_metadata():
