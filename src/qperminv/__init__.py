@@ -38,9 +38,6 @@ from .ops import (
 from .invert import (
     EXACT_THRESHOLD,
     PSEUDO_THRESHOLD,
-    CorruptedReflectionProvider,
-    ExactReflectionProvider,
-    PseudoReflectionProvider,
     RunReport,
     StageTrace,
     StepwiseReport,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .invert import success_probabilities
+from .invert import final_deficits
 from .ops import PseudoIdentity, apply_pseudo_identity
 from .perm import Permutation, _check_values
 from .qstate import make_signed_uniform, support_members
@@ -225,8 +225,9 @@ def inversion_residual_stats(
 ) -> SweepSummary:
     """Aggregate the error-tolerant inversion's residuals over x.
 
-    Success probabilities come from `success_probabilities`' closed form. The
-    residual of a run is sqrt(1 - success probability). On exhaustive
+    Each run's final deficit d = 1 - amp comes from `final_deficits`' closed
+    form: its success probability is amp^2 and its residual
+    sqrt(1 - amp^2) = sqrt(d (2 - d)), read without cancellation. On exhaustive
     sweeps the mean must stay within 2n*sqrt(|bad|/2^n) plus the coarse good
     term, whenever that bound is at most 1; the count{residual > 1/q} is also
     checked against the mean via the usual averaging argument.
@@ -235,8 +236,9 @@ def inversion_residual_stats(
         raise ValueError(f"q must be positive, got {q}")
     n = perm.n
     exhaustive = xs is None
-    success = success_probabilities(perm, jop, np.arange(perm.size) if exhaustive else xs)
-    v2 = np.sqrt(np.maximum(0.0, 1.0 - success))
+    deficit = final_deficits(perm, jop, np.arange(perm.size) if exhaustive else xs)
+    success = (1.0 - deficit) ** 2
+    v2 = np.sqrt(np.maximum(0.0, deficit * (2.0 - deficit)))
     count = v2.size
     mean_v2 = float(v2.mean())
     b_actual = jop.bad_size / perm.size

@@ -28,14 +28,7 @@ from .harness import (
     sweep_to_csv,
     write_manifest,
 )
-from .invert import (
-    EXACT_THRESHOLD,
-    PSEUDO_THRESHOLD,
-    CorruptedReflectionProvider,
-    ExactReflectionProvider,
-    PseudoReflectionProvider,
-    run_stepwise_test,
-)
+from .invert import EXACT_THRESHOLD, PSEUDO_THRESHOLD, run_stepwise_test
 from .ops import ANGLE_MODES, BAD_MODES, build_pseudo_identity, parse_pseudo_identity
 from .perm import (
     DEFAULT_MAX_BITS,
@@ -44,6 +37,7 @@ from .perm import (
     load_permutation,
     permutation_to_text,
 )
+from .qstate import check_register_sizes
 
 GEN_FAMILIES = tuple(f for f in FAMILIES if f != "from-table")
 
@@ -167,7 +161,7 @@ def _cmd_run(args, with_pseudo: bool) -> int:
     if args.k < 0:
         return _usage(f"--k must be at least 0, got {args.k}")
     try:
-        workers = resolve_workers(args.workers)
+        resolve_workers(args.workers)  # still validated; closed forms need no fan-out
     except ValueError as exc:
         return _usage(str(exc))
     try:
@@ -191,8 +185,8 @@ def _cmd_run(args, with_pseudo: bool) -> int:
     elif threshold is None:
         threshold = EXACT_THRESHOLD
     try:
-        reports = run_batch(perm, jop, xs, k, not args.no_trace, threshold, workers)
-    except (ValueError, RuntimeError) as exc:
+        reports = run_batch(perm, jop, xs, k, not args.no_trace, threshold)
+    except ValueError as exc:
         return _failure(str(exc))
     csv_text = run_reports_to_csv(reports)
     out_dir = resolve_out_dir(args.out_dir)
@@ -223,6 +217,10 @@ def cmd_check_lemmas(args) -> int:
         return _usage(f"--count must be at least 1, got {args.count}")
     if args.k < 1:
         return _usage(f"--k must be at least 1, got {args.k}")
+    try:
+        check_register_sizes(args.n, args.k)
+    except ValueError as exc:
+        return _failure(str(exc))
     checks = lemma_battery(n_max=args.n, count=args.count, seed=args.seed, k=args.k)
     report = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
     config = {"n": args.n, "count": args.count, "seed": args.seed, "k": args.k}
@@ -241,26 +239,24 @@ def cmd_test_stages(args) -> int:
     except (ValueError, OSError) as exc:
         return _failure(str(exc))
     threshold = args.threshold
-    if args.provider == "exact":
-        provider = ExactReflectionProvider()
-    elif args.provider == "corrupted":
+    jop = corrupt_stage = None
+    if args.provider == "corrupted":
         if args.corrupt_stage is None:
             return _usage("--provider corrupted requires --corrupt-stage")
         if not 0 <= args.corrupt_stage < perm.n // 2:
             return _usage(f"--corrupt-stage out of range [0, {perm.n // 2 - 1}]")
-        provider = CorruptedReflectionProvider(args.corrupt_stage)
-    else:
+        corrupt_stage = args.corrupt_stage
+    elif args.provider == "pseudo":
         try:
             jop = _resolve_pseudo_identity(args, perm.n)
         except (ValueError, OSError) as exc:
             return _failure(str(exc))
-        provider = PseudoReflectionProvider(jop)
         if threshold is None:
             threshold = PSEUDO_THRESHOLD
     if threshold is None:
         threshold = EXACT_THRESHOLD
     try:
-        report = run_stepwise_test(perm, xs, provider, threshold)
+        report = run_stepwise_test(perm, xs, jop, corrupt_stage, threshold)
     except ValueError as exc:
         return _failure(str(exc))
     payload = {

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .analysis import (
     inversion_residual_stats,
     sample_xs,
 )
-from .invert import RunReport, run_av_inv, run_inv
+from .invert import RunReport, run_batch  # noqa: F401 (run_batch: the CLI's entry)
 from .ops import build_pseudo_identity
 from .perm import build_permutation
 
@@ -132,27 +131,6 @@ def run_reports_to_csv(reports: list[RunReport]) -> str:
         )
         lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _run_chunk(args) -> list[RunReport]:
-    perm, jop, xs, k, trace, threshold = args
-    if jop is None:
-        return [run_inv(perm, x, k=k, trace=trace, threshold=threshold) for x in xs]
-    return [run_av_inv(perm, x, jop, trace=trace, threshold=threshold) for x in xs]
-
-
-def run_batch(perm, jop, xs, k, trace, threshold, workers: int = 1) -> list[RunReport]:
-    """Per-x runs, optionally fanned out to worker processes. Reports come
-    back in ascending-x order regardless of the worker count."""
-    xs = [int(x) for x in sorted(xs)]
-    workers = max(1, workers)
-    if workers == 1 or len(xs) < 2 * workers:
-        return _run_chunk((perm, jop, xs, k, trace, threshold))
-    bounds = [len(xs) * i // workers for i in range(workers + 1)]
-    chunks = [xs[bounds[i]:bounds[i + 1]] for i in range(workers) if bounds[i] < bounds[i + 1]]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_chunk, [(perm, jop, c, k, trace, threshold) for c in chunks]))
-    return [rep for part in parts for rep in part]
 
 
 SWEEP_CONFIG_SCHEMA = {

@@ -310,16 +310,24 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     else:
         if angle_count != (1 << n):
             raise ValueError(f"cosine block must list all {1 << n} values")
-        # 2^n lines with distinct in-range values define every cosine
-        cosines = np.empty(1 << n, dtype=np.float64)
-        seen = np.zeros(1 << n, dtype=bool)
-        for line in lines[pos:pos + angle_count]:
-            tokens = line.split()
-            if len(tokens) != 2:
+        # 2^n lines with distinct in-range values define every cosine. Each
+        # check runs over a chunk of lines at once, and a failed one names its
+        # first line in the chunk; chunks bound the token lists held in memory.
+        zs = np.empty(angle_count, dtype=np.int64)
+        cosines = np.empty(angle_count, dtype=np.float64)
+        for lo in range(0, angle_count, 1024):
+            chunk = lines[pos + lo:pos + min(lo + 1024, angle_count)]
+            if set(map(len, map(str.split, chunk))) != {2}:
+                line = next(line for line in chunk if len(line.split()) != 2)
                 raise ValueError(f"cosine line must be 'z cosine', got {line!r}")
-            z = main_value(tokens[0])
-            if seen[z]:
-                raise ValueError(f"cosine block lists main value {z} twice")
-            cosines[z] = float(tokens[1])
-            seen[z] = True
+            tokens = " ".join(chunk).split()
+            ints = list(map(int, tokens[0::2]))
+            if min(ints) < 0 or max(ints) >= angle_count:
+                main_value(next(t for t, z in zip(tokens[0::2], ints) if not 0 <= z < angle_count))
+            zs[lo:lo + len(chunk)] = ints
+            cosines[ints] = list(map(float, tokens[1::2]))
+        repeated = np.ones(angle_count, dtype=bool)
+        repeated[np.unique(zs, return_index=True)[1]] = False
+        if repeated.any():
+            raise ValueError(f"cosine block lists main value {zs[repeated.argmax()]} twice")
     return PseudoIdentity(n, k, a, b, bad, cosines, bad_mode, angle_mode, seed)

@@ -8,8 +8,6 @@ import math
 
 import numpy as np
 from qperminv import (
-    CorruptedReflectionProvider,
-    ExactReflectionProvider,
     StateVector,
     apply_pseudo_identity,
     apply_reflection_exact,
@@ -177,9 +175,9 @@ def test_criterion_7_parameter_calculus(capsys):
 
 def test_criterion_8_stepwise_harness(capsys):
     perm = build_permutation("random", 8, seed=7)
-    ok = run_stepwise_test(perm, range(256), ExactReflectionProvider()).all_pass
+    ok = run_stepwise_test(perm, range(256)).all_pass
     for corrupt in (0, 1, 2, 3):
-        report = run_stepwise_test(perm, range(256), CorruptedReflectionProvider(corrupt))
+        report = run_stepwise_test(perm, range(256), corrupt_stage=corrupt)
         ok = ok and report.first_failing_stage == corrupt
         ok = ok and set(report.per_x_first_failing) == {corrupt}
     # exit codes through the CLI

@@ -1,6 +1,6 @@
 """Closed-form sweep aggregates against the dense simulator.
 
-`success_probabilities` and `expected_error_sweep` never build a state
+`final_deficits` and `expected_error_sweep` never build a state
 vector; here they are checked, x by x, against `run_av_inv` and against a
 loop of dense `error_length` calls.
 """
@@ -19,7 +19,7 @@ from qperminv import (
     run_av_inv,
     sample_xs,
 )
-from qperminv.invert import success_probabilities
+from qperminv.invert import final_deficits
 from qperminv.perm import prefix_members
 
 FAMILIES = ("random", "identity", "bit-reversal", "affine-gf2")
@@ -40,9 +40,21 @@ def test_success_matches_dense_run_for_every_x(n, family):
     for bad_mode, angle_mode in MODE_PAIRS:
         for k in (1, 2):
             jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
-            dense = [run_av_inv(perm, int(x), jop).success_prob for x in xs]
-            closed = success_probabilities(perm, jop, xs)
-            assert np.abs(closed - dense).max() <= 1e-12, (bad_mode, angle_mode, k)
+            runs = [run_av_inv(perm, int(x), jop).success_prob for x in xs]
+            closed = (1.0 - final_deficits(perm, jop, xs)) ** 2
+            assert np.abs(closed - runs).max() <= 1e-12, (bad_mode, angle_mode, k)
+
+
+@pytest.mark.parametrize("a", [1e-10, 1e-12, 1e-14])
+def test_sweep_residuals_match_run_residuals(a):
+    # both read sqrt(d (2 - d)) from the final-stage deficit d = 1 - amp;
+    # sqrt(1 - success) loses up to 1.4e-9 of it at a = 1e-14
+    perm = build_permutation("random", 8, seed=5)
+    for seed in range(3):
+        jop = build_pseudo_identity(8, 1, a=a, b=0.0, angle_mode="random", seed=seed)
+        summary = inversion_residual_stats(perm, jop, 2.0)
+        runs = [run_av_inv(perm, x, jop).v2_norm for x in range(256)]
+        assert np.abs(summary.v2_values - runs).max() <= 1e-15
 
 
 def _dense_error_sweep(perm, jop, j, with_tagged, xs):
@@ -77,7 +89,7 @@ def test_error_sweep_matches_dense_error_lengths(n, sampled):
 def test_identity_operator_inverts_exactly(n):
     perm = build_permutation("random", n, seed=n)
     jop = build_pseudo_identity(n, 1)
-    assert np.all(success_probabilities(perm, jop, np.arange(1 << n)) == 1.0)
+    assert np.all(final_deficits(perm, jop, np.arange(1 << n)) == 0.0)
     summary = inversion_residual_stats(perm, jop, q=2.0)
     assert np.all(summary.v2_values == 0.0) and summary.mean_success == 1.0
 
@@ -87,10 +99,10 @@ def test_closed_forms_reject_bad_x():
     jop = build_pseudo_identity(4, 1, a=1e-3, b=1 / 16, seed=2)
     for xs in ([16], [0, 16], [3, -1], []):
         with pytest.raises(ValueError, match="out of range|at least one"):
-            success_probabilities(perm, jop, xs)
+            final_deficits(perm, jop, xs)
         with pytest.raises(ValueError, match="out of range|at least one"):
             inversion_residual_stats(perm, jop, q=2.0, xs=xs)
         with pytest.raises(ValueError, match="out of range|at least one"):
             expected_error_sweep(perm, jop, 1, xs=xs)
     with pytest.raises(ValueError, match="main qubits"):
-        success_probabilities(perm, build_pseudo_identity(6, 1), [0])
+        final_deficits(perm, build_pseudo_identity(6, 1), [0])

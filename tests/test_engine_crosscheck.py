@@ -1,19 +1,15 @@
-"""The image-order block engine against a dense reference stage loop.
+"""The closed-form runs and stepwise test against a dense reference stage loop.
 
 The reference is written here from the dense StateVector operators and the
-closed-form stage oracles, the way the runs were simulated before the block
-engine: tag, reflection (exact, conjugated or corrupted), and a comparison
-with `expected_state_after_*` after each half-stage. Every value the engine
-reports must agree with it to 1e-12.
+closed-form stage oracles: tag, reflection (exact, conjugated or corrupted),
+and a comparison with `expected_state_after_*` after each half-stage. Every
+value the closed forms report must agree with it to 1e-12.
 """
 
 import numpy as np
 import pytest
 
 from qperminv import (
-    CorruptedReflectionProvider,
-    ExactReflectionProvider,
-    PseudoReflectionProvider,
     apply_pseudo_reflection,
     apply_reflection_exact,
     apply_tagging,
@@ -24,6 +20,7 @@ from qperminv import (
     initial_state,
     reflect_about_uniform,
     run_av_inv,
+    run_batch,
     run_inv,
     run_stepwise_test,
 )
@@ -55,7 +52,7 @@ def _reflect(state, perm, x, j, jop=None, corrupt=None):
 
 
 def _dense_run(perm, x, k, jop=None):
-    """Success, residual, trace rows and final state of the dense stage loop."""
+    """Success, residual and trace rows of the dense stage loop."""
     state = initial_state(perm.n, k)
     rows = ([], [], [])
     for j in range(perm.n // 2):
@@ -68,7 +65,7 @@ def _dense_run(perm, x, k, jop=None):
     target = state.index_of(perm.inverse(x), 0)
     off_target = state.amps.copy()
     off_target[target] = 0.0
-    return abs(state.amps[target]) ** 2, np.linalg.norm(off_target), rows, state
+    return abs(state.amps[target]) ** 2, np.linalg.norm(off_target), rows
 
 
 def _dense_stage_fidelity(perm, x, j, k, jop=None, corrupt=None):
@@ -80,7 +77,7 @@ def _dense_stage_fidelity(perm, x, j, k, jop=None, corrupt=None):
 
 
 def _assert_run_matches(report, dense):
-    success, v2, rows, state = dense
+    success, v2, rows = dense
     assert abs(report.success_prob - success) <= TOL
     assert abs(report.v2_norm - v2) <= TOL
     trace = report.trace
@@ -88,8 +85,6 @@ def _assert_run_matches(report, dense):
                          rows):
         assert len(got) == len(want)
         assert np.abs(np.subtract(got, want)).max() <= TOL
-    assert report.final_state.k == state.k
-    assert np.abs(report.final_state.amps - state.amps).max() <= TOL
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -98,18 +93,32 @@ def test_runs_match_dense_reference(n, family):
     perm = build_permutation(family, n, seed=n + 3)
     for x in _xs(n):
         for k in (0, 1, 2):
-            report = run_inv(perm, x, k=k, trace=True, keep_state=True)
+            report = run_inv(perm, x, k=k, trace=True)
             _assert_run_matches(report, _dense_run(perm, x, k))
         for bad_mode, angle_mode in MODE_PAIRS:
             for k in (1, 2):
                 jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
-                report = run_av_inv(perm, x, jop, trace=True, keep_state=True)
+                report = run_av_inv(perm, x, jop, trace=True)
                 _assert_run_matches(report, _dense_run(perm, x, k, jop))
 
 
-def _assert_stepwise_matches(perm, provider, fidelity):
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_batch_matches_dense_reference(n, family):
+    # one call over every x at once, so each x reads its own prefix classes
+    perm = build_permutation(family, n, seed=n + 3)
+    xs = list(_xs(n))
+    for bad_mode, angle_mode in MODE_PAIRS:
+        jop = _operator(n, 1, bad_mode, angle_mode, seed=7 * n + 1)
+        reports = run_batch(perm, jop, xs[::-1], 1, True, 0.99)
+        assert [r.x for r in reports] == xs
+        for x, report in zip(xs, reports):
+            _assert_run_matches(report, _dense_run(perm, x, 1, jop))
+
+
+def _assert_stepwise_matches(perm, fidelity, jop=None, corrupt_stage=None):
     for x in _xs(perm.n):
-        report = run_stepwise_test(perm, [x], provider)
+        report = run_stepwise_test(perm, [x], jop, corrupt_stage)
         want = [fidelity(x, j) for j in range(perm.n // 2)]
         assert np.abs(np.subtract(report.stage_min_fidelity, want)).max() <= TOL
         failing = [j for j, f in enumerate(want) if f < report.threshold]
@@ -120,13 +129,13 @@ def _assert_stepwise_matches(perm, provider, fidelity):
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_stepwise_matches_dense_reference(n, family):
     perm = build_permutation(family, n, seed=n + 3)
-    _assert_stepwise_matches(perm, ExactReflectionProvider(),
-                             lambda x, j: _dense_stage_fidelity(perm, x, j, 0))
+    _assert_stepwise_matches(perm, lambda x, j: _dense_stage_fidelity(perm, x, j, 0))
     for corrupt in range(n // 2):
-        _assert_stepwise_matches(perm, CorruptedReflectionProvider(corrupt),
-                                 lambda x, j: _dense_stage_fidelity(perm, x, j, 0, corrupt=corrupt))
+        _assert_stepwise_matches(perm,
+                                 lambda x, j: _dense_stage_fidelity(perm, x, j, 0, corrupt=corrupt),
+                                 corrupt_stage=corrupt)
     for bad_mode, angle_mode in MODE_PAIRS:
         for k in (1, 2):
             jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
-            _assert_stepwise_matches(perm, PseudoReflectionProvider(jop),
-                                     lambda x, j: _dense_stage_fidelity(perm, x, j, k, jop))
+            _assert_stepwise_matches(perm, lambda x, j: _dense_stage_fidelity(perm, x, j, k, jop),
+                                     jop=jop)

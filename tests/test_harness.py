@@ -441,6 +441,11 @@ def test_test_stages_oversized_ancilla_fails_cleanly(capsys):
                   "--k", "40"], "cap", capsys)
 
 
+def test_check_lemmas_oversized_ancilla_fails_cleanly(tmp_path, capsys):
+    _fails_small(["check-lemmas", "--k", "40", "--out", str(tmp_path / "c.json")], "cap", capsys)
+    assert not (tmp_path / "c.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run-inv", "run-avinv", "test-stages"])
 def test_negative_k_is_a_usage_error(command, tmp_path, capsys):
     out = tmp_path / "out"

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from qperminv import (
-    CorruptedReflectionProvider,
-    ExactReflectionProvider,
-    PseudoReflectionProvider,
+    apply_pseudo_reflection,
     apply_reflection_exact,
     apply_tagging,
     build_permutation,
@@ -75,12 +73,24 @@ def test_final_stage_oracle_is_the_preimage():
         assert oracle.amps[perm.inverse(x)] == 1.0
 
 
+def _dense_final_state(perm, x, k, jop=None):
+    """The dense operator loop: tag, then the exact or pseudo-reflection."""
+    state = initial_state(perm.n, k)
+    for j in range(perm.n // 2):
+        apply_tagging(state, perm, x, j)
+        if jop is None:
+            apply_reflection_exact(state, perm, x, j)
+        else:
+            apply_pseudo_reflection(state, perm, x, j, jop)
+    return state
+
+
 def test_run_inv_identity_n2():
     perm = build_permutation("identity", 2)
-    report = run_inv(perm, 3, trace=True, keep_state=True)
+    report = run_inv(perm, 3, trace=True)
     assert report.success_prob == 1.0
     assert report.v2_norm == 0.0
-    assert report.final_state.amps.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert _dense_final_state(perm, 3, 0).amps.tolist() == [0.0, 0.0, 0.0, 1.0]
     assert report.first_failing_stage is None
 
 
@@ -135,9 +145,9 @@ def test_run_av_inv_hand_computed_displaced_target():
     # reflection: final amplitudes (1/4, 1/4, 1/4, 1/4 | -1/4, -1/4, -1/4, -3/4)
     perm = build_permutation("identity", 2)
     jop = build_pseudo_identity(2, 1, a=0.0, b=0.25, explicit_bad_set=[3])
-    report = run_av_inv(perm, 3, jop, keep_state=True)
+    report = run_av_inv(perm, 3, jop)
     assert report.success_prob == 0.0625
-    grid = report.final_state.grid()
+    grid = _dense_final_state(perm, 3, 1, jop).grid()
     assert grid[:, 0].tolist() == [0.25, 0.25, 0.25, 0.25]
     assert grid[:, 1].tolist() == [-0.25, -0.25, -0.25, -0.75]
 
@@ -146,9 +156,9 @@ def test_run_av_inv_hand_computed_displaced_bystander():
     # single stage, bystander 0 displaced: final (-1/4, -1/4, -1/4, 3/4 | -1/4, 1/4, 1/4, 1/4)
     perm = build_permutation("identity", 2)
     jop = build_pseudo_identity(2, 1, a=0.0, b=0.25, explicit_bad_set=[0])
-    report = run_av_inv(perm, 3, jop, keep_state=True)
+    report = run_av_inv(perm, 3, jop)
     assert report.success_prob == 0.5625
-    grid = report.final_state.grid()
+    grid = _dense_final_state(perm, 3, 1, jop).grid()
     assert grid[:, 0].tolist() == [-0.25, -0.25, -0.25, 0.75]
     assert grid[:, 1].tolist() == [-0.25, 0.25, 0.25, 0.25]
 
@@ -170,17 +180,29 @@ def test_run_av_inv_empty_bad_set_is_exact_despite_budget():
 
 
 def test_residual_is_summed_off_the_target():
-    # one rotation for every y makes the error-tolerant run exact; success
-    # then rounds to just below 1 for some x, and sqrt(1 - success) would read
-    # about 1.5e-8 there instead of the rounding-level sum of the off-target
-    # squares
+    # one rotation for every y makes the error-tolerant run exact; the deficit
+    # 1 - amp is a sum of spreads that vanish here, so success reads exactly 1
+    # and the residual stays at rounding level, where sqrt(1 - success) of a
+    # success rounded just below 1 would read about 1.5e-8
     perm = build_permutation("random", 8, seed=1)
     for cosine in (0.27, 0.73, 0.94):
         jop = PseudoIdentity(8, 1, 1.0, 0.0, [], np.full(256, cosine))
         reports = [run_av_inv(perm, x, jop) for x in range(256)]
-        assert any(r.success_prob != 1.0 for r in reports)
+        assert all(r.success_prob == 1.0 for r in reports)
         assert max(r.v2_norm for r in reports) <= 1e-12
         assert all(abs(r.success_prob + r.v2_norm**2 - 1.0) <= 1e-12 for r in reports)
+
+
+def test_trace_distances_vanish_on_one_rotation_operators():
+    # the same exact runs: every oracle distance is 0, and sqrt(2 (1 - amp))
+    # from the summed deficit keeps it at rounding level, where sqrt(2 - 2 amp)
+    # of an amp rounded just below 1 would read about 3e-8
+    perm = build_permutation("random", 8, seed=1)
+    for cosine in (0.27, 0.73, 0.94):
+        jop = PseudoIdentity(8, 1, 1.0, 0.0, [], np.full(256, cosine))
+        for x in range(256):
+            trace = run_av_inv(perm, x, jop, trace=True).trace
+            assert max(trace.dist_after_tag + trace.dist_after_reflect) <= 1e-12
 
 
 def test_run_report_metadata():
@@ -195,7 +217,7 @@ def test_run_report_metadata():
 
 def test_stepwise_exact_provider_passes():
     perm = build_permutation("random", 8, seed=7)
-    report = run_stepwise_test(perm, range(256), ExactReflectionProvider())
+    report = run_stepwise_test(perm, range(256))
     assert report.all_pass
     assert report.first_failing_stage is None
     assert min(report.stage_min_fidelity) >= 1.0 - 1e-9
@@ -204,7 +226,7 @@ def test_stepwise_exact_provider_passes():
 @pytest.mark.parametrize("corrupt", [0, 1, 2, 3])
 def test_stepwise_corrupted_provider_fails_at_its_stage(corrupt):
     perm = build_permutation("random", 8, seed=7)
-    report = run_stepwise_test(perm, range(0, 256, 5), CorruptedReflectionProvider(corrupt))
+    report = run_stepwise_test(perm, range(0, 256, 5), corrupt_stage=corrupt)
     assert report.first_failing_stage == corrupt
     assert set(report.per_x_first_failing) == {corrupt}
     # the wrong-prefix reflection lands at fidelity exactly 1/4
@@ -213,23 +235,22 @@ def test_stepwise_corrupted_provider_fails_at_its_stage(corrupt):
 
 def test_stepwise_trivial_pseudo_provider_indistinguishable_from_exact():
     perm = build_permutation("random", 6, seed=2)
-    provider = PseudoReflectionProvider(build_pseudo_identity(6, 1, a=0.0, b=0.0))
-    report = run_stepwise_test(perm, range(64), provider)
+    report = run_stepwise_test(perm, range(64), build_pseudo_identity(6, 1, a=0.0, b=0.0))
     assert report.all_pass
 
 
 def test_stepwise_threshold_is_configurable():
     perm = build_permutation("random", 6, seed=2)
     jop = build_pseudo_identity(6, 1, a=0.0, b=2 / 64, seed=3)
-    strict = run_stepwise_test(perm, range(64), PseudoReflectionProvider(jop))
+    strict = run_stepwise_test(perm, range(64), jop)
     assert not strict.all_pass
     # a displaced target floors the late-stage fidelity near 1/16, so a
     # threshold below that accepts the same provider
-    loose = run_stepwise_test(perm, range(64), PseudoReflectionProvider(jop), threshold=0.01)
+    loose = run_stepwise_test(perm, range(64), jop, threshold=0.01)
     assert loose.all_pass
 
 
 def test_stepwise_rejects_out_of_range_x():
     perm = build_permutation("identity", 2)
     with pytest.raises(ValueError, match="range"):
-        run_stepwise_test(perm, [4], ExactReflectionProvider())
+        run_stepwise_test(perm, [4])

@@ -286,8 +286,12 @@ def test_pseudo_reflection_matches_composed_half_steps():
             apply_reflection_exact(composed, perm, x, j)
             apply_pseudo_identity(composed, jop, adjoint=True)
             assert composed.distance_to(single) <= 1e-12
-        run = run_av_inv(perm, x, jop, keep_state=True).final_state
-        assert run.distance_to(composed) <= 1e-12
+        run = run_av_inv(perm, x, jop)
+        target = composed.amps[composed.index_of(perm.inverse(x), 0)]
+        assert abs(run.success_prob - abs(target) ** 2) <= 1e-12
+        off_target = composed.amps.copy()
+        off_target[composed.index_of(perm.inverse(x), 0)] = 0.0
+        assert abs(run.v2_norm - np.linalg.norm(off_target)) <= 1e-12
 
 
 def test_pseudo_reflection_deviation_bounded_by_error_length():
