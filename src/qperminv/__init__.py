@@ -10,18 +10,8 @@ from .perm import (
     load_permutation,
     permutation_from_text,
     permutation_to_text,
-    prefix_membership_stats,
 )
-from .qstate import (
-    SCALAR_TOL,
-    STATE_TOL,
-    StateVector,
-    VectorAlgebra,
-    basis_overlap,
-    dump_state,
-    make_signed_uniform,
-    vector_algebra,
-)
+from .qstate import StateVector, make_signed_uniform
 from .ops import (
     PseudoIdentity,
     apply_pseudo_identity,
@@ -29,8 +19,6 @@ from .ops import (
     apply_reflection_exact,
     apply_tagging,
     build_pseudo_identity,
-    measure_identity_defect,
-    measure_reflection_defect,
     parse_pseudo_identity,
     reflect_about_uniform,
     serialize_pseudo_identity,
@@ -50,7 +38,6 @@ from .invert import (
 )
 from .analysis import (
     BoundReport,
-    DefectProfile,
     Params,
     ResidualReport,
     SweepSummary,
@@ -61,8 +48,6 @@ from .analysis import (
     error_length,
     expected_error_sweep,
     inversion_residual_stats,
-    pseudo_reflection_profile,
-    sample_pairs,
     sample_xs,
 )
 from .harness import derive_seed, run_batch

@@ -15,20 +15,33 @@ from fractions import Fraction
 import numpy as np
 
 from .invert import final_deficits
-from .ops import PseudoIdentity, apply_pseudo_identity
+from .ops import PseudoIdentity
 from .perm import Permutation, _check_values
-from .qstate import make_signed_uniform, support_members
+from .qstate import signed_support
 
 BOUND_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
+# The signed uniform state psi over (S, T) has amplitude +-1/sqrt|S| at (y, 0)
+# for y in S, and J psi has c_y and s_y times it at (y, 0) and (y, 1). So
+# <psi, J psi> = mean_S c and ||(J - I) psi||^2 = mean_S (2 - 2c) = 2d with
+# d = mean_S (1 - c), whatever T is, and the part of J psi orthogonal to psi
+# has norm sqrt(1 - mean_S(c)^2) = sqrt(d (2 - d)), read without cancellation.
+
+
+def _deficit(jop: PseudoIdentity, support, flipped) -> tuple[np.ndarray, np.ndarray, float]:
+    """S and T as checked member arrays, and d = mean_S (1 - c)."""
+    members, t_members = signed_support(support, flipped, jop.n)
+    return members, t_members, float(np.mean(1.0 - jop.cosines[members]))
+
+
+def _length(d: float) -> float:
+    return math.sqrt(max(0.0, 2.0 * d))
+
 
 def error_length(jop: PseudoIdentity, support, flipped=()) -> float:
     """||(J - I) psi|| for the signed uniform state over (support, flipped)."""
-    state = make_signed_uniform(support, flipped, k=jop.k, n=jop.n)
-    before = state.amps.copy()
-    apply_pseudo_identity(state, jop)
-    return float(np.linalg.norm(state.amps - before))
+    return _length(_deficit(jop, support, flipped)[2])
 
 
 @dataclass(frozen=True)
@@ -50,9 +63,8 @@ class BoundReport:
 
 def check_error_length_bound(jop: PseudoIdentity, support, flipped=()) -> BoundReport:
     """Error length against 2*sqrt(a)*|S∩good|/sqrt(|S|) + 2*sqrt(|S∩bad|/|S|)."""
-    members = support_members(support)
-    t_members = support_members(flipped)
-    measured = error_length(jop, support, flipped)
+    members, t_members, d = _deficit(jop, support, flipped)
+    measured = _length(d)
     size = members.size
     bad_overlap = jop.count_bad(members)
     good_term = 2.0 * math.sqrt(jop.a) * (size - bad_overlap) / math.sqrt(size)
@@ -79,7 +91,7 @@ class ResidualReport:
     """Decomposition of J psi along psi; the orthogonal part never exceeds the
     error length."""
 
-    alpha: complex
+    alpha: float
     perp_norm: float
     error_len: float
     margin: float
@@ -87,12 +99,10 @@ class ResidualReport:
 
 
 def check_residual_bound(jop: PseudoIdentity, support, flipped=()) -> ResidualReport:
-    state = make_signed_uniform(support, flipped, k=jop.k, n=jop.n)
-    psi = state.amps.copy()
-    apply_pseudo_identity(state, jop)
-    alpha = complex(np.vdot(psi, state.amps))
-    perp_norm = float(np.linalg.norm(state.amps - alpha * psi))
-    err = float(np.linalg.norm(state.amps - psi))
+    members, _, d = _deficit(jop, support, flipped)
+    alpha = float(np.mean(jop.cosines[members]))
+    perp_norm = math.sqrt(max(0.0, d * (2.0 - d)))
+    err = _length(d)
     margin = err - perp_norm
     return ResidualReport(alpha, perp_norm, err, margin, margin >= -BOUND_TOL)
 
@@ -274,54 +284,6 @@ def inversion_residual_stats(
 
 
 @dataclass(frozen=True)
-class DefectProfile:
-    """Empirical distribution of pseudo-reflection overlap defects."""
-
-    count: int
-    mean: float
-    max: float
-    quantiles: tuple[tuple[float, float], ...]
-    threshold: float          # 2a reference level
-    frac_exceeding: float
-
-
-def sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
-    """Seeded (x, y_in) pairs for defect profiling."""
-    rng = np.random.default_rng(seed)
-    size = 1 << n
-    return [(int(rng.integers(0, size)), int(rng.integers(0, size))) for _ in range(count)]
-
-
-def pseudo_reflection_profile(
-    perm: Permutation,
-    jop: PseudoIdentity,
-    j: int,
-    pairs,
-    quantile_levels=(0.5, 0.9, 0.99),
-) -> DefectProfile:
-    """Profile |1 - <exact|pseudo>| over basis inputs; reporting only, since
-    the doubling of (a, b) under conjugation is a loose estimate."""
-    from .ops import measure_reflection_defect
-
-    defects = np.asarray(
-        [measure_reflection_defect(perm, jop, j, x, y_in) for x, y_in in pairs],
-        dtype=np.float64,
-    )
-    if defects.size == 0:
-        raise ValueError("defect profile needs at least one (x, y_in) pair")
-    threshold = 2.0 * jop.a
-    quants = tuple((float(lv), float(np.quantile(defects, lv))) for lv in quantile_levels)
-    return DefectProfile(
-        count=int(defects.size),
-        mean=float(defects.mean()),
-        max=float(defects.max()),
-        quantiles=quants,
-        threshold=threshold,
-        frac_exceeding=float(np.count_nonzero(defects > threshold) / defects.size),
-    )
-
-
-@dataclass(frozen=True)
 class Params:
     """Failure-budget calculus: p sized so that q = r + 1.
 
@@ -341,9 +303,14 @@ def compute_params(r: float, n: int) -> Params:
         raise ValueError(f"failure ratio parameter r must be finite and >= 1, got {r}")
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    p = 4.0 * n * n * (r + 1.0) ** 4
-    q = p ** 0.25 / math.sqrt(2.0 * n)
-    count = (1 << n) * (1.0 / r - 1.0 / q**2) / (1.0 - 1.0 / q**2)
+    try:
+        p = 4.0 * n * n * (r + 1.0) ** 4
+        q = p ** 0.25 / math.sqrt(2.0 * n)
+        count = (1 << n) * (1.0 / r - 1.0 / q**2) / (1.0 - 1.0 / q**2)
+    except OverflowError:
+        p = count = math.inf
+    if not (math.isfinite(p) and math.isfinite(count)):
+        raise ValueError(f"r={r}, n={n} give parameters beyond the finite float range")
     return Params(r=float(r), n=int(n), p=p, q=q, hard_input_count=count)
 
 

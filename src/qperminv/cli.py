@@ -231,6 +231,8 @@ def cmd_check_lemmas(args) -> int:
 def cmd_test_stages(args) -> int:
     if args.k < 0:
         return _usage(f"--k must be at least 0, got {args.k}")
+    if args.corrupt_stage is not None and args.provider != "corrupted":
+        return _usage("--corrupt-stage needs --provider corrupted")
     try:
         perm = _resolve_perm(args)
         xs = _resolve_xs(args.x, perm.n, args.master_seed)

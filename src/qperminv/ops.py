@@ -221,28 +221,6 @@ def apply_pseudo_reflection(
     return state
 
 
-def measure_identity_defect(jop: PseudoIdentity, z: int) -> float:
-    """|1 - <z,0|J|z,0>|; bounded by a for z outside the bad set."""
-    _check_value(z, jop.n)
-    return float(abs(1.0 - jop.cosines[z]))
-
-
-def measure_reflection_defect(
-    perm: Permutation, jop: PseudoIdentity, j: int, x: int, y_in: int
-) -> float:
-    """Overlap deficit of the pseudo-reflection against the exact one.
-
-    Both operators are applied to the basis state (y_in, 0); the result is
-    |1 - <exact|pseudo>|, in [0, 2], and 0 whenever J is the identity.
-    """
-    _check_value(y_in, perm.n)
-    actual = StateVector.basis(perm.n, jop.k, y_in, 0)
-    apply_pseudo_reflection(actual, perm, x, j, jop)
-    ideal = StateVector.basis(perm.n, jop.k, y_in, 0)
-    apply_reflection_exact(ideal, perm, x, j)
-    return float(abs(1.0 - ideal.inner(actual)))
-
-
 # Serialization: header "n k a b angle_mode/bad_mode seed", the sorted bad
 # set, then an explicit cosine block whenever either mode was randomized or
 # the cosines differ from the ones the header implies (1 - a, 0 on the bad set).

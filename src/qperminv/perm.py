@@ -6,8 +6,6 @@ the top L bits of the integer encoding.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 DEFAULT_MAX_BITS = 16
@@ -117,12 +115,15 @@ def _affine_table(rows: list[int], offset: int, n: int) -> np.ndarray:
 
 
 def _fisher_yates(size: int, seed: int) -> np.ndarray:
+    """Swap i with rng.integers(0, i + 1) for i = size-1 .. 1; the draws come
+    from one call with an array of upper bounds, the same stream as one call
+    per i."""
     rng = np.random.default_rng(seed)
-    table = np.arange(size, dtype=np.int64)
-    for i in range(size - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    table = list(range(size))
+    draws = rng.integers(0, np.arange(size, 1, -1)).tolist()
+    for i, j in zip(range(size - 1, 0, -1), draws):
         table[i], table[j] = table[j], table[i]
-    return table
+    return np.array(table, dtype=np.int64)
 
 
 def build_permutation(
@@ -196,20 +197,6 @@ def prefix_members(perm: Permutation, x: int, prefix_len: int) -> np.ndarray:
 def _check_stage(perm: Permutation, j: int) -> None:
     if not 0 <= j <= perm.n // 2 - 1:
         raise ValueError(f"stage index {j} out of range [0, {perm.n // 2 - 1}]")
-
-
-def prefix_membership_stats(perm: Permutation, y: int, j: int) -> Fraction:
-    """Exact fraction of x, over the full domain, with y in the stage-j set.
-
-    Counted by enumeration; equals 1/2^(2j) for every y and every permutation.
-    """
-    _check_value(y, perm.n)
-    if not 0 <= j <= perm.n // 2:
-        raise ValueError(f"stage index {j} out of range [0, {perm.n // 2}]")
-    shift = perm.n - 2 * j
-    target = int(perm.table[y]) >> shift
-    count = int(np.count_nonzero((np.arange(perm.size) >> shift) == target))
-    return Fraction(count, perm.size)
 
 
 # File format: line 1 is "n=<int>", then one decimal image per line in row

@@ -1,4 +1,5 @@
-"""Dense statevector core for a main register of n qubits plus k ancilla qubits.
+"""Dense statevectors over a main register of n qubits plus k ancilla qubits.
+No command builds one; they are the reference the tests check closed forms against.
 
 Amplitudes live at flat index y * 2**k + w, where y is the main-register value
 and w the ancilla value. Any classical conditioning value x stays outside the
@@ -7,12 +8,8 @@ vector; every operator in this package is block-diagonal in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-STATE_TOL = 1e-9    # state-level comparisons
-SCALAR_TOL = 1e-12  # scalar identities
 MAX_STATE_BYTES = 1 << 30  # no state vector may exceed 1 GiB
 
 
@@ -102,14 +99,9 @@ def support_members(support) -> np.ndarray:
     return members
 
 
-def make_signed_uniform(support, flipped=(), k: int = 0, n: int | None = None) -> StateVector:
-    """Unit vector with +1/sqrt(|S|) on S\\T and -1/sqrt(|S|) on T, at ancilla 0.
-
-    S is `support`, T is `flipped` (must be a subset), both sets of integers
-    in a main register of n qubits.
-    """
-    if n is None:
-        raise ValueError("register size n is required")
+def signed_support(support, flipped, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """S and T as `support_members` arrays, checked: S nonempty and inside a
+    main register of n qubits, T a subset of S."""
     s_members = support_members(support)
     t_members = support_members(flipped)
     if s_members.size == 0:
@@ -120,6 +112,18 @@ def make_signed_uniform(support, flipped=(), k: int = 0, n: int | None = None) -
         pos = np.searchsorted(s_members, t_members)
         if pos[-1] == s_members.size or (s_members[pos] != t_members).any():
             raise ValueError("flipped set must be a subset of the support")
+    return s_members, t_members
+
+
+def make_signed_uniform(support, flipped=(), k: int = 0, n: int | None = None) -> StateVector:
+    """Unit vector with +1/sqrt(|S|) on S\\T and -1/sqrt(|S|) on T, at ancilla 0.
+
+    S is `support`, T is `flipped` (must be a subset), both sets of integers
+    in a main register of n qubits.
+    """
+    if n is None:
+        raise ValueError("register size n is required")
+    s_members, t_members = signed_support(support, flipped, n)
     state = StateVector(n, k)
     grid = state.grid()
     amp = 1.0 / np.sqrt(s_members.size)
@@ -127,53 +131,3 @@ def make_signed_uniform(support, flipped=(), k: int = 0, n: int | None = None) -
     if t_members.size:
         grid[t_members, 0] = -amp
     return state
-
-
-@dataclass(frozen=True)
-class VectorAlgebra:
-    """Inner product, distance, and the decomposition of v along a unit u."""
-
-    inner: complex
-    norm_u: float
-    norm_v: float
-    dist: float
-    alpha: complex
-    perp_norm: float
-
-
-def vector_algebra(u: StateVector, v: StateVector) -> VectorAlgebra:
-    """Decompose v = alpha*u + perp against a unit vector u.
-
-    alpha = <u|v> and perp_norm = ||v - alpha*u||, so ||v||^2 splits as
-    |alpha|^2 + perp_norm^2.
-    """
-    u._check_same_shape(v)
-    norm_u = u.norm()
-    if abs(norm_u - 1.0) > STATE_TOL:
-        raise ValueError(f"decomposition requires a unit reference vector, got norm {norm_u}")
-    inner = complex(np.vdot(u.amps, v.amps))
-    perp = v.amps - inner * u.amps
-    return VectorAlgebra(
-        inner=inner,
-        norm_u=norm_u,
-        norm_v=v.norm(),
-        dist=float(np.linalg.norm(u.amps - v.amps)),
-        alpha=inner,
-        perp_norm=float(np.linalg.norm(perp)),
-    )
-
-
-def basis_overlap(state: StateVector, y0: int, w0: int = 0) -> float:
-    """Squared amplitude magnitude at basis state (y0, w0)."""
-    amp = state.amps[state.index_of(y0, w0)]
-    return float(abs(amp) ** 2)
-
-
-def dump_state(state: StateVector) -> str:
-    """Rows `y w re im` in index order, 17 significant digits."""
-    lines = []
-    for y in range(1 << state.n):
-        for w in range(1 << state.k):
-            amp = state.amps[(y << state.k) | w]
-            lines.append(f"{y} {w} {amp.real:.17g} {amp.imag:.17g}")
-    return "\n".join(lines) + "\n"

@@ -17,8 +17,6 @@ from qperminv import (
     error_length,
     expected_error_sweep,
     inversion_residual_stats,
-    pseudo_reflection_profile,
-    sample_pairs,
     sample_xs,
 )
 from qperminv.perm import prefix_members
@@ -215,20 +213,6 @@ def test_inversion_residual_stats_rejects_bad_q():
     jop = build_pseudo_identity(4, 1)
     with pytest.raises(ValueError, match="positive"):
         inversion_residual_stats(perm, jop, q=0.0)
-
-
-def test_defect_profile_trivial_and_worst_case():
-    perm = build_permutation("random", 6, seed=8)
-    trivial = build_pseudo_identity(6, 1)
-    pairs = sample_pairs(6, 40, seed=4)
-    profile = pseudo_reflection_profile(perm, trivial, 1, pairs)
-    assert profile.max <= 1e-12
-    jop = build_pseudo_identity(6, 1, a=0.0, b=1 / 16, seed=10)
-    profile = pseudo_reflection_profile(perm, jop, 1, pairs)
-    assert 0.0 < profile.max <= 2.0
-    assert profile.count == 40
-    again = pseudo_reflection_profile(perm, jop, 1, pairs)
-    assert again == profile  # deterministic given the same pairs
 
 
 def test_compute_params_examples():

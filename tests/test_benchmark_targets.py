@@ -1,0 +1,67 @@
+"""The benchmark tracer's targets against the package.
+
+`perfbench/tracer.py` wraps named functions of this package by
+(module, attribute). It is loaded here read-only, without writing bytecode
+beside it, so that a deleted or renamed target fails in this suite rather
+than in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _targets(tracer_module):
+    for targets in tracer_module.SPANS.values():
+        for module_name, attr in targets:
+            yield importlib.import_module(f"qperminv.{module_name}"), attr
+
+
+def _resolve(owner, attr):
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_traced_name_resolves(tracer_module):
+    for module, attr in _targets(tracer_module):
+        assert hasattr(module, attr.split(".")[0]), f"{module.__name__}.{attr} is gone"
+        assert callable(_resolve(module, attr)), f"{module.__name__}.{attr}"
+
+
+def test_install_then_uninstall_restores_every_original(tracer_module):
+    targets = list(_targets(tracer_module))
+    modules = [m for key, m in sys.modules.items()
+               if key == "qperminv" or key.startswith("qperminv.")]
+    state_cls = sys.modules["qperminv.qstate"].StateVector
+    owners = [*modules, state_cls]
+    before = [dict(vars(owner)) for owner in owners]
+    originals = [_resolve(module, attr) for module, attr in targets]
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for (module, attr), original in zip(targets, originals):
+            assert _resolve(module, attr) is not original, f"{module.__name__}.{attr} not wrapped"
+    finally:
+        tracer.uninstall()
+
+    for owner, snapshot in zip(owners, before):
+        after = dict(vars(owner))
+        assert after.keys() == snapshot.keys(), owner
+        for key, value in snapshot.items():
+            assert after[key] is value, f"{owner!r}.{key} not restored"

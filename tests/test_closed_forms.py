@@ -1,8 +1,8 @@
-"""Closed-form sweep aggregates against the dense simulator.
+"""Closed-form sweep aggregates and bound checks against the dense simulator.
 
-`final_deficits` and `expected_error_sweep` never build a state
-vector; here they are checked, x by x, against `run_av_inv` and against a
-loop of dense `error_length` calls.
+`final_deficits`, `expected_error_sweep` and the bound checks never build a
+state vector; here they are checked, x by x, against `run_av_inv`, and
+instance by instance against dense signed uniform states moved by J.
 """
 
 from fractions import Fraction
@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 from qperminv import (
+    apply_pseudo_identity,
     build_permutation,
     build_pseudo_identity,
+    check_error_length_bound,
+    check_residual_bound,
     error_length,
     expected_error_sweep,
     inversion_residual_stats,
+    make_signed_uniform,
     run_av_inv,
     sample_xs,
 )
@@ -55,6 +59,40 @@ def test_sweep_residuals_match_run_residuals(a):
         summary = inversion_residual_stats(perm, jop, 2.0)
         runs = [run_av_inv(perm, x, jop).v2_norm for x in range(256)]
         assert np.abs(summary.v2_values - runs).max() <= 1e-15
+
+
+def _dense_bound_values(jop, support, flipped):
+    """||(J - I) psi||, <psi, J psi> and ||J psi - <psi, J psi> psi|| from states."""
+    psi = make_signed_uniform(support, flipped, k=jop.k, n=jop.n)
+    moved = apply_pseudo_identity(psi.copy(), jop).amps
+    alpha = np.vdot(psi.amps, moved)
+    return (np.linalg.norm(moved - psi.amps), alpha,
+            np.linalg.norm(moved - alpha * psi.amps))
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-12, 1e-6, 1e-3])
+def test_bound_checks_match_dense_states(a):
+    # the check-lemmas instance mix: random S and T subset of S, both modes
+    rng = np.random.default_rng(int(a * 1e12) + 17)
+    for n in (2, 4, 6, 8):
+        size = 1 << n
+        for k in (1, 2):
+            for bad_mode, angle_mode in MODE_PAIRS:
+                for b in (0.0, 1 / 16, 1 / 4):
+                    jop = build_pseudo_identity(n, k, a=a, b=b, bad_mode=bad_mode,
+                                                angle_mode=angle_mode, seed=int(rng.integers(1000)))
+                    s_size = int(rng.integers(1, size + 1))
+                    support = rng.choice(size, size=s_size, replace=False)
+                    flipped = rng.choice(support, size=int(rng.integers(0, s_size + 1)),
+                                         replace=False)
+                    length, alpha, perp = _dense_bound_values(jop, support, flipped)
+                    res = check_residual_bound(jop, support, flipped)
+                    assert abs(error_length(jop, support, flipped) - length) <= 1e-12
+                    assert abs(check_error_length_bound(jop, support, flipped).measured
+                               - length) <= 1e-12
+                    assert abs(res.alpha - alpha) <= 1e-12
+                    assert abs(res.perp_norm - perp) <= 1e-12
+                    assert abs(res.error_len - length) <= 1e-12
 
 
 def _dense_error_sweep(perm, jop, j, with_tagged, xs):

@@ -297,10 +297,14 @@ def test_test_stages_corrupted_fails_at_stage(tmp_path, corrupt, capsys):
 
 
 def test_test_stages_usage_errors(capsys):
-    assert main(["test-stages", "--family", "random", "--n", "6",
-                 "--provider", "corrupted"]) == 2
-    assert main(["test-stages", "--family", "random", "--n", "6",
-                 "--provider", "corrupted", "--corrupt-stage", "5"]) == 2
+    for argv in (["--provider", "corrupted"],
+                 ["--provider", "corrupted", "--corrupt-stage", "5"],
+                 ["--provider", "exact", "--corrupt-stage", "9"],
+                 ["--provider", "pseudo", "--corrupt-stage", "9"]):
+        assert main(["test-stages", "--family", "random", "--n", "6", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert captured.err.startswith("error:") and "--corrupt-stage" in captured.err, argv
 
 
 def sweep_config(tmp_path, **overrides):
@@ -391,7 +395,9 @@ def test_env_overrides_out_dir(tmp_path, monkeypatch, capsys):
     ["run-avinv", "--family", "identity", "--n", "4", "--a", "nan"],
     ["test-stages", "--family", "identity", "--n", "4", "--provider", "pseudo", "--b", "inf"],
     ["params", "--r", "nan", "--n", "4"],
-], ids=["threshold", "a", "b", "r"])
+    ["params", "--r", "1e200", "--n", "2"],
+    ["params", "--r", "2", "--n", "2000"],
+], ids=["threshold", "a", "b", "r", "r-overflow", "n-overflow"])
 def test_non_finite_flags_are_usage_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*argv, *(["--out", str(out)] if argv[0] != "params" else [])]) == 2

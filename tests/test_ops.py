@@ -14,8 +14,6 @@ from qperminv import (
     error_length,
     initial_state,
     make_signed_uniform,
-    measure_identity_defect,
-    measure_reflection_defect,
     parse_pseudo_identity,
     reflect_about_uniform,
     run_av_inv,
@@ -168,19 +166,26 @@ def test_worst_case_bad_state_is_fully_rotated():
     assert state.amps[state.index_of(0, 0)] == 0.0
 
 
+def _identity_defect(jop, z):
+    """|1 - <z,0|J|z,0>|, from J applied to the basis state (z, 0)."""
+    state = StateVector.basis(jop.n, jop.k, z)
+    apply_pseudo_identity(state, jop)
+    return abs(1.0 - state.amps[state.index_of(z, 0)])
+
+
 def test_worst_case_good_cosines():
     jop = build_pseudo_identity(4, 1, a=0.02, b=0.0)
     assert np.allclose(jop.cosines, 0.98)
-    assert measure_identity_defect(jop, 7) == pytest.approx(0.02, abs=1e-15)
+    assert _identity_defect(jop, 7) == pytest.approx(0.02, abs=1e-15)
 
 
 def test_identity_defect_cases():
     trivial = build_pseudo_identity(2, 1)
-    assert all(measure_identity_defect(trivial, z) == 0.0 for z in range(4))
+    assert all(_identity_defect(trivial, z) == 0.0 for z in range(4))
     jop = build_pseudo_identity(2, 1, a=0.0, b=0.5, explicit_bad_set=[1, 2])
-    assert measure_identity_defect(jop, 1) == 1.0
+    assert _identity_defect(jop, 1) == 1.0
     with pytest.raises(ValueError, match="range"):
-        measure_identity_defect(jop, 4)
+        _identity_defect(jop, 4)
 
 
 def test_bad_set_capacity_enforced():
@@ -317,22 +322,31 @@ def test_pseudo_reflection_deviation_bounded_by_error_length():
 # --- reflection defect -------------------------------------------------------
 
 
+def _reflection_defect(perm, jop, j, x, y_in):
+    """|1 - <exact|pseudo>| of the stage-j reflections on the basis state (y_in, 0)."""
+    actual = StateVector.basis(perm.n, jop.k, y_in)
+    apply_pseudo_reflection(actual, perm, x, j, jop)
+    ideal = StateVector.basis(perm.n, jop.k, y_in)
+    apply_reflection_exact(ideal, perm, x, j)
+    return abs(1.0 - ideal.inner(actual))
+
+
 def test_reflection_defect_zero_for_trivial_operator():
     perm = build_permutation("random", 4, seed=4)
     jop = build_pseudo_identity(4, 1)
     for x, y_in, j in [(0, 0, 0), (9, 3, 1), (15, 15, 0)]:
-        assert measure_reflection_defect(perm, jop, j, x, y_in) <= 1e-12
+        assert _reflection_defect(perm, jop, j, x, y_in) <= 1e-12
 
 
 def test_reflection_defect_positive_on_displaced_input():
     perm = build_permutation("identity", 4)
     y_in = 5
     jop = build_pseudo_identity(4, 1, a=0.0, b=1 / 16, explicit_bad_set=[y_in])
-    defect = measure_reflection_defect(perm, jop, j=1, x=perm.forward(y_in), y_in=y_in)
+    defect = _reflection_defect(perm, jop, j=1, x=perm.forward(y_in), y_in=y_in)
     assert defect > 0.1
     assert defect <= 2.0
     # deterministic on rerun
-    assert defect == measure_reflection_defect(perm, jop, j=1, x=perm.forward(y_in), y_in=y_in)
+    assert defect == _reflection_defect(perm, jop, j=1, x=perm.forward(y_in), y_in=y_in)
 
 
 # --- serialization -----------------------------------------------------------

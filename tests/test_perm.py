@@ -1,7 +1,5 @@
 """Permutation families, prefix sets, and the permutation file format."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from qperminv import (
     build_permutation,
     permutation_from_text,
     permutation_to_text,
-    prefix_membership_stats,
 )
 from qperminv.perm import prefix_members
 
@@ -52,6 +49,23 @@ def test_random_is_seed_deterministic():
     assert a.table.tolist() == b.table.tolist()
     c = build_permutation("random", 4, seed=8)
     assert a.table.tolist() != c.table.tolist()
+
+
+def _fisher_yates_per_draw(size, seed):
+    # the family's definition: one rng.integers(0, i + 1) call per swap
+    rng = np.random.default_rng(seed)
+    table = np.arange(size, dtype=np.int64)
+    for i in range(size - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        table[i], table[j] = table[j], table[i]
+    return table
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345678901234567, 2**63 + 5])
+def test_random_family_matches_one_draw_per_swap(seed):
+    for n in range(2, 17, 2):
+        perm = build_permutation("random", n, seed=seed)
+        assert np.array_equal(perm.table, _fisher_yates_per_draw(1 << n, seed)), n
 
 
 def test_affine_explicit_matrix():
@@ -175,11 +189,13 @@ def test_prefix_sets_partition_domain():
 
 @pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
 def test_membership_stats_exact(family, kwargs):
+    # each y lies in the stage-j set of exactly 2^n / 4^j of the x
     perm = build_permutation(family, 4, **kwargs)
-    for y in range(16):
-        assert prefix_membership_stats(perm, y, 0) == Fraction(1)
-        assert prefix_membership_stats(perm, y, 1) == Fraction(1, 4)
-        assert prefix_membership_stats(perm, y, 2) == Fraction(1, 16)
+    for j in range(3):
+        counts = np.zeros(16, dtype=np.int64)
+        for x in range(16):
+            counts[prefix_members(perm, x, 2 * j)] += 1
+        assert counts.tolist() == [16 >> 2 * j] * 16
 
 
 def test_permutation_file_bytes():

@@ -1,24 +1,11 @@
-"""Statevector layout, signed uniform constructors, and vector algebra."""
+"""Statevector layout and signed uniform constructors."""
 
 import numpy as np
 import pytest
 
-from qperminv import (
-    StateVector,
-    basis_overlap,
-    build_permutation,
-    dump_state,
-    make_signed_uniform,
-    vector_algebra,
-)
+from qperminv import StateVector, build_permutation, make_signed_uniform
 from qperminv.perm import prefix_members
 from qperminv.qstate import support_members
-
-
-def random_state(n, k, rng):
-    amps = rng.normal(size=1 << (n + k)) + 1j * rng.normal(size=1 << (n + k))
-    amps /= np.linalg.norm(amps)
-    return StateVector(n, k, amps)
 
 
 def test_index_layout():
@@ -104,73 +91,3 @@ def test_state_size_is_capped_before_allocation():
     with pytest.raises(ValueError, match="cap"):
         StateVector(16, 11)
     assert StateVector(16, 1).dim == 1 << 17
-
-
-def test_vector_algebra_orthogonal_basis():
-    u = StateVector.basis(2, 0, 0)
-    v = StateVector.basis(2, 0, 1)
-    res = vector_algebra(u, v)
-    assert res.inner == 0
-    assert res.perp_norm == 1.0
-    assert res.dist == pytest.approx(np.sqrt(2), abs=1e-15)
-
-
-def test_vector_algebra_same_vector():
-    rng = np.random.default_rng(1)
-    u = random_state(3, 0, rng)
-    res = vector_algebra(u, u)
-    assert res.alpha == pytest.approx(1.0, abs=1e-12)
-    assert res.perp_norm <= 1e-12
-
-
-def test_vector_algebra_ancilla_basis_pair():
-    u = StateVector.basis(2, 1, 0, 0)
-    v = StateVector.basis(2, 1, 0, 1)
-    res = vector_algebra(u, v)
-    assert res.alpha == 0
-    assert res.perp_norm == 1.0
-
-
-def test_vector_algebra_pythagoras_and_reconstruction():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        u = random_state(3, 1, rng)
-        v = random_state(3, 1, rng)
-        v.amps *= rng.uniform(0.1, 2.0)  # decomposition target need not be unit
-        res = vector_algebra(u, v)
-        assert res.norm_v**2 == pytest.approx(abs(res.alpha) ** 2 + res.perp_norm**2, abs=1e-9)
-        rebuilt = res.alpha * u.amps + (v.amps - res.alpha * u.amps)
-        assert np.linalg.norm(rebuilt - v.amps) <= 1e-9
-
-
-def test_vector_algebra_rejects_non_unit_reference():
-    u = StateVector(2, 0, np.array([1.0, 1.0, 0, 0]))
-    v = StateVector.basis(2, 0, 0)
-    with pytest.raises(ValueError, match="unit"):
-        vector_algebra(u, v)
-
-
-def test_vector_algebra_rejects_dim_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        vector_algebra(StateVector.basis(2, 0, 0), StateVector.basis(2, 1, 0))
-
-
-def test_basis_overlap():
-    state = StateVector.basis(2, 1, 3, 0)
-    assert basis_overlap(state, 3, 0) == 1.0
-    uniform = make_signed_uniform({0, 1, 2, 3}, k=0, n=2)
-    assert basis_overlap(uniform, 2, 0) == pytest.approx(0.25, abs=1e-15)
-    assert basis_overlap(make_signed_uniform({0, 1}, k=0, n=2), 3, 0) == 0.0
-    with pytest.raises(ValueError):
-        basis_overlap(state, 4, 0)
-
-
-def test_dump_state_format():
-    state = make_signed_uniform({0, 1, 2, 3}, {3}, k=1, n=2)
-    lines = dump_state(state).splitlines()
-    assert len(lines) == 8
-    assert lines[0] == "0 0 0.5 0"
-    assert lines[6] == "3 0 -0.5 0"
-    y, w, re, im = lines[2].split()
-    assert (y, w) == ("1", "0")
-    assert float(re) == 0.5
