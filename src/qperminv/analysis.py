@@ -29,10 +29,10 @@ IDENTITY_TOL = 1e-12
 # has norm sqrt(1 - mean_S(c)^2) = sqrt(d (2 - d)), read without cancellation.
 
 
-def _deficit(jop: PseudoIdentity, support, flipped) -> tuple[np.ndarray, np.ndarray, float]:
-    """S and T as checked member arrays, and d = mean_S (1 - c)."""
-    members, t_members = signed_support(support, flipped, jop.n)
-    return members, t_members, float(np.mean(1.0 - jop.cosines[members]))
+def _deficit(jop: PseudoIdentity, support, flipped) -> tuple[np.ndarray, float]:
+    """S as a checked member array (T is checked too), and d = mean_S (1 - c)."""
+    members = signed_support(support, flipped, jop.n)[0]
+    return members, float(np.mean(1.0 - jop.cosines[members]))
 
 
 def _length(d: float) -> float:
@@ -41,7 +41,7 @@ def _length(d: float) -> float:
 
 def error_length(jop: PseudoIdentity, support, flipped=()) -> float:
     """||(J - I) psi|| for the signed uniform state over (support, flipped)."""
-    return _length(_deficit(jop, support, flipped)[2])
+    return _length(_deficit(jop, support, flipped)[1])
 
 
 @dataclass(frozen=True)
@@ -50,40 +50,21 @@ class BoundReport:
 
     measured: float
     bound: float
-    bad_term: float
-    good_term: float
     margin: float
     passed: bool
-    support_size: int
-    flipped_size: int
     bad_overlap: int
-    a: float
-    b: float
 
 
 def check_error_length_bound(jop: PseudoIdentity, support, flipped=()) -> BoundReport:
     """Error length against 2*sqrt(a)*|S∩good|/sqrt(|S|) + 2*sqrt(|S∩bad|/|S|)."""
-    members, t_members, d = _deficit(jop, support, flipped)
+    members, d = _deficit(jop, support, flipped)
     measured = _length(d)
     size = members.size
     bad_overlap = jop.count_bad(members)
-    good_term = 2.0 * math.sqrt(jop.a) * (size - bad_overlap) / math.sqrt(size)
-    bad_term = 2.0 * math.sqrt(bad_overlap / size)
-    bound = good_term + bad_term
+    bound = (2.0 * math.sqrt(jop.a) * (size - bad_overlap) / math.sqrt(size)
+             + 2.0 * math.sqrt(bad_overlap / size))
     margin = bound - measured
-    return BoundReport(
-        measured=measured,
-        bound=bound,
-        bad_term=bad_term,
-        good_term=good_term,
-        margin=margin,
-        passed=margin >= -BOUND_TOL,
-        support_size=int(size),
-        flipped_size=int(t_members.size),
-        bad_overlap=bad_overlap,
-        a=jop.a,
-        b=jop.b,
-    )
+    return BoundReport(measured, bound, margin, margin >= -BOUND_TOL, bad_overlap)
 
 
 @dataclass(frozen=True)
@@ -99,7 +80,7 @@ class ResidualReport:
 
 
 def check_residual_bound(jop: PseudoIdentity, support, flipped=()) -> ResidualReport:
-    members, _, d = _deficit(jop, support, flipped)
+    members, d = _deficit(jop, support, flipped)
     alpha = float(np.mean(jop.cosines[members]))
     perp_norm = math.sqrt(max(0.0, d * (2.0 - d)))
     err = _length(d)
@@ -107,50 +88,40 @@ def check_residual_bound(jop: PseudoIdentity, support, flipped=()) -> ResidualRe
     return ResidualReport(alpha, perp_norm, err, margin, margin >= -BOUND_TOL)
 
 
-@dataclass(eq=False)
-class SweepSummary:
-    """Aggregate of a per-x sweep, either of error lengths or of inversion residuals."""
+@dataclass(frozen=True)
+class ErrorLengthSweep:
+    """Mean error length over x at one stage, against its bound."""
 
-    kind: str            # "error-length" | "inversion-residual"
-    n: int
-    j: int | None
-    x_mode: str          # "exhaustive" | "sampled"
-    x_count: int
-    a: float
-    b: float
-    bad_size: int
-    # error-length sweeps
-    mean_error_len: float | None = None
-    max_error_len: float | None = None
-    mean_ratio: Fraction | None = None
-    expected_ratio: Fraction | None = None
-    ratio_exact: bool | None = None
-    error_bound: float | None = None
-    error_bound_ok: bool | None = None
-    # inversion sweeps
-    mean_success: float | None = None
-    mean_v2: float | None = None
-    max_v2: float | None = None
-    q: float | None = None
-    exceed_threshold: float | None = None
-    exceed_count: int | None = None
-    residual_bound: float | None = None
-    residual_bound_applicable: bool | None = None
-    residual_bound_ok: bool | None = None
-    markov_count: int | None = None
-    markov_limit: float | None = None
-    markov_ok: bool | None = None
-    v2_values: np.ndarray | None = field(default=None, repr=False)
-    success_values: np.ndarray | None = field(default=None, repr=False)
+    mean_error_len: float
+    max_error_len: float
+    mean_ratio: Fraction
+    expected_ratio: Fraction
+    ratio_exact: bool | None
+    error_bound: float
+    error_bound_ok: bool
+
+
+@dataclass(eq=False)
+class ResidualSweep:
+    """Residuals of the error-tolerant inversion over x, against their bounds."""
+
+    mean_success: float
+    mean_v2: float
+    max_v2: float
+    residual_bound: float
+    residual_bound_applicable: bool
+    residual_bound_ok: bool | None
+    markov_count: int
+    markov_limit: float
+    markov_ok: bool
+    v2_values: np.ndarray = field(repr=False)
 
     def markov_check(self, t: float) -> tuple[int, float, bool]:
-        """count{v2 > t} against x_count * mean / t, on the measured array."""
-        if self.v2_values is None:
-            raise ValueError("no per-x residuals recorded")
+        """count{v2 > t} against the number of x times mean / t, on the measured array."""
         if t <= 0:
             raise ValueError("threshold must be positive")
         count = int(np.count_nonzero(self.v2_values > t))
-        limit = self.x_count * float(np.mean(self.v2_values)) / t
+        limit = self.v2_values.size * float(np.mean(self.v2_values)) / t
         return count, limit, count <= limit + BOUND_TOL
 
 
@@ -177,7 +148,7 @@ def expected_error_sweep(
     j: int,
     with_tagged: bool = True,
     xs=None,
-) -> SweepSummary:
+) -> ErrorLengthSweep:
     """Mean error length over x at stage j, with the exact overlap identity.
 
     with_tagged only picks the stage range: the flipped set does not change
@@ -208,15 +179,7 @@ def expected_error_sweep(
     slack = BOUND_TOL
     if not exhaustive and count > 1:
         slack += 3.0 * float(lengths.std(ddof=1)) / math.sqrt(count)
-    return SweepSummary(
-        kind="error-length",
-        n=n,
-        j=j,
-        x_mode="exhaustive" if exhaustive else "sampled",
-        x_count=count,
-        a=jop.a,
-        b=jop.b,
-        bad_size=jop.bad_size,
+    return ErrorLengthSweep(
         mean_error_len=mean_len,
         max_error_len=float(lengths.max()),
         mean_ratio=mean_ratio,
@@ -232,7 +195,7 @@ def inversion_residual_stats(
     jop: PseudoIdentity,
     q: float,
     xs=None,
-) -> SweepSummary:
+) -> ResidualSweep:
     """Aggregate the error-tolerant inversion's residuals over x.
 
     Each run's final deficit d = 1 - amp comes from `final_deficits`' closed
@@ -254,24 +217,12 @@ def inversion_residual_stats(
     b_actual = jop.bad_size / perm.size
     bound = 2.0 * n * math.sqrt(b_actual) + n * good_term_coarse(n, jop.a)
     applicable = exhaustive and bound <= 1.0
-    threshold = 1.0 / q
-    exceed = int(np.count_nonzero(v2 > threshold))
+    exceed = int(np.count_nonzero(v2 > 1.0 / q))
     markov_limit = count * mean_v2 * q
-    return SweepSummary(
-        kind="inversion-residual",
-        n=n,
-        j=None,
-        x_mode="exhaustive" if exhaustive else "sampled",
-        x_count=count,
-        a=jop.a,
-        b=jop.b,
-        bad_size=jop.bad_size,
+    return ResidualSweep(
         mean_success=float(success.mean()),
         mean_v2=mean_v2,
         max_v2=float(v2.max()),
-        q=float(q),
-        exceed_threshold=threshold,
-        exceed_count=exceed,
         residual_bound=bound,
         residual_bound_applicable=applicable,
         residual_bound_ok=(mean_v2 <= bound + BOUND_TOL) if applicable else None,
@@ -279,7 +230,6 @@ def inversion_residual_stats(
         markov_limit=markov_limit,
         markov_ok=exceed <= markov_limit + BOUND_TOL,
         v2_values=v2,
-        success_values=success,
     )
 
 
@@ -291,8 +241,6 @@ class Params:
     on (with probability above 1/q^2) when the failure ratio is 1/r.
     """
 
-    r: float
-    n: int
     p: float
     q: float
     hard_input_count: float
@@ -311,7 +259,7 @@ def compute_params(r: float, n: int) -> Params:
         p = count = math.inf
     if not (math.isfinite(p) and math.isfinite(count)):
         raise ValueError(f"r={r}, n={n} give parameters beyond the finite float range")
-    return Params(r=float(r), n=int(n), p=p, q=q, hard_input_count=count)
+    return Params(p=p, q=q, hard_input_count=count)
 
 
 def contradiction_check(r: float) -> bool:

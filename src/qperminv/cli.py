@@ -124,22 +124,27 @@ def _resolve_pseudo_identity(args, n: int):
     )
 
 
-def _write_output(command: str, path: str, text: str, config: dict, derived=None) -> None:
-    """Write one output file and its manifest beside it, then print its path."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    atomic_write_text(path, text)
-    write_manifest(command, config, derived or {}, {os.path.basename(path): text},
-                   path + ".manifest.json")
+def _write_output(command: str, path: str, text: str, config: dict, derived=None) -> int:
+    """Write one output file and its manifest beside it, then print its path;
+    the exit code, 1 when the path cannot be written."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        atomic_write_text(path, text)
+        write_manifest(command, config, derived or {}, {os.path.basename(path): text},
+                       path + ".manifest.json")
+    except OSError as exc:
+        return _failure(f"cannot write {path}: {exc.strerror or exc}")
     print(path)
+    return 0
 
 
-def _write_json(command: str, path: str | None, payload: dict, config: dict) -> None:
+def _write_json(command: str, path: str | None, payload: dict, config: dict) -> int:
     """A JSON report goes to `path` with a manifest, or to stdout without one."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
-        _write_output(command, path, text, config)
-    else:
-        print(text, end="")
+        return _write_output(command, path, text, config)
+    print(text, end="")
+    return 0
 
 
 def cmd_gen_perm(args) -> int:
@@ -153,8 +158,7 @@ def cmd_gen_perm(args) -> int:
     name = f"perm-{args.family}-n{args.n}" + (f"-s{args.seed}" if args.seed is not None else "")
     path = args.out or os.path.join(out_dir, name + ".txt")
     config = {"family": args.family, "n": args.n, "seed": args.seed, "mask": args.mask}
-    _write_output("gen-perm", path, permutation_to_text(perm), config)
-    return 0
+    return _write_output("gen-perm", path, permutation_to_text(perm), config)
 
 
 def _cmd_run(args, with_pseudo: bool) -> int:
@@ -188,7 +192,7 @@ def _cmd_run(args, with_pseudo: bool) -> int:
         reports = run_batch(perm, jop, xs, k, not args.no_trace, threshold)
     except ValueError as exc:
         return _failure(str(exc))
-    csv_text = run_reports_to_csv(reports)
+    csv_text = run_reports_to_csv(perm, jop, reports)
     out_dir = resolve_out_dir(args.out_dir)
     command = "run-avinv" if with_pseudo else "run-inv"
     path = args.out or os.path.join(out_dir, command + ".csv")
@@ -206,8 +210,7 @@ def _cmd_run(args, with_pseudo: bool) -> int:
     if jop is not None:
         config.update({"a": jop.a, "b": jop.b, "bad_size": jop.bad_size, "j_seed": jop.seed,
                        "bad_mode": jop.bad_mode, "angle_mode": jop.angle_mode})
-    _write_output(command, path, csv_text, config)
-    return 0
+    return _write_output(command, path, csv_text, config)
 
 
 def cmd_check_lemmas(args) -> int:
@@ -224,8 +227,8 @@ def cmd_check_lemmas(args) -> int:
     checks = lemma_battery(n_max=args.n, count=args.count, seed=args.seed, k=args.k)
     report = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
     config = {"n": args.n, "count": args.count, "seed": args.seed, "k": args.k}
-    _write_json("check-lemmas", args.out, report, config)
-    return 0 if report["all_pass"] else 1
+    code = _write_json("check-lemmas", args.out, report, config)
+    return code or (0 if report["all_pass"] else 1)
 
 
 def cmd_test_stages(args) -> int:
@@ -262,17 +265,17 @@ def cmd_test_stages(args) -> int:
     except ValueError as exc:
         return _failure(str(exc))
     payload = {
-        "provider": report.provider,
-        "n": report.n,
-        "x_count": report.x_count,
-        "threshold": report.threshold,
+        "provider": args.provider,
+        "n": perm.n,
+        "x_count": len(xs),
+        "threshold": threshold,
         "stage_min_fidelity": list(report.stage_min_fidelity),
         "stage_pass": list(report.stage_pass),
         "first_failing_stage": report.first_failing_stage,
         "all_pass": report.all_pass,
     }
-    _write_json("test-stages", args.out, payload, payload)
-    return 0 if report.all_pass else 1
+    code = _write_json("test-stages", args.out, payload, payload)
+    return code or (0 if report.all_pass else 1)
 
 
 def cmd_sweep(args) -> int:
@@ -291,8 +294,7 @@ def cmd_sweep(args) -> int:
     csv_text = sweep_to_csv(rows)
     out_dir = resolve_out_dir(args.out_dir)
     path = args.out or config.get("out") or os.path.join(out_dir, "sweep.csv")
-    _write_output("sweep", path, csv_text, config, derived)
-    return 0
+    return _write_output("sweep", path, csv_text, config, derived)
 
 
 def cmd_params(args) -> int:

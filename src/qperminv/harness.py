@@ -30,8 +30,8 @@ from .analysis import (
     sample_xs,
 )
 from .invert import RunReport, run_batch  # noqa: F401 (run_batch: the CLI's entry)
-from .ops import build_pseudo_identity
-from .perm import build_permutation
+from .ops import PseudoIdentity, build_pseudo_identity
+from .perm import Permutation, build_permutation
 
 ENV_OUT_DIR = "QPERMINV_OUT_DIR"
 ENV_WORKERS = "QPERMINV_WORKERS"
@@ -122,14 +122,15 @@ def write_manifest(command: str, config_echo: dict, derived_seeds: dict, outputs
     atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def run_reports_to_csv(reports: list[RunReport]) -> str:
+def run_reports_to_csv(perm: Permutation, jop: PseudoIdentity | None,
+                       reports: list[RunReport]) -> str:
+    """One row per report, in the given order, after the permutation and
+    operator columns that every row shares (empty for an exact run)."""
+    meta = (None,) * 4 if jop is None else (jop.a, jop.b, jop.bad_size, jop.seed)
+    prefix = ",".join(_cell(v) for v in (perm.n, perm.family, perm.seed, *meta))
     lines = [",".join(RUN_CSV_COLUMNS)]
-    for rep in sorted(reports, key=lambda r: r.x):
-        row = (
-            rep.n, rep.family, rep.perm_seed, rep.a, rep.b, rep.bad_size, rep.j_seed,
-            rep.x, rep.success_prob, rep.v2_norm, rep.first_failing_stage,
-        )
-        lines.append(",".join(_cell(v) for v in row))
+    lines.extend(f"{prefix},{r.x},{fmt17(r.success_prob)},{fmt17(r.v2_norm)},"
+                 f"{_cell(r.first_failing_stage)}" for r in reports)
     return "\n".join(lines) + "\n"
 
 

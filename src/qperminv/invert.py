@@ -59,15 +59,6 @@ class StageTrace:
     dist_after_tag: tuple[float, ...]
     dist_after_reflect: tuple[float, ...]
     stage_fidelity: tuple[float, ...]
-    verdicts: tuple[bool, ...]
-    threshold: float
-
-    @property
-    def first_failing(self) -> int | None:
-        for j, ok in enumerate(self.verdicts):
-            if not ok:
-                return j
-        return None
 
 
 @dataclass(eq=False)
@@ -75,16 +66,8 @@ class RunReport:
     """Outcome of one inversion run for a single conditioning value x."""
 
     x: int
-    n: int
-    k: int
     success_prob: float
     v2_norm: float
-    family: str
-    perm_seed: int | None
-    a: float | None = None
-    b: float | None = None
-    bad_size: int | None = None
-    j_seed: int | None = None
     trace: StageTrace | None = None
     first_failing_stage: int | None = None
 
@@ -147,6 +130,13 @@ def stage_deficits(perm: Permutation, xs, jop: PseudoIdentity | None = None) -> 
     return np.stack(columns, axis=1)
 
 
+def _first_failing(fidelity: np.ndarray, threshold: float) -> list[int | None]:
+    """Each row's first stage whose fidelity is not at or above the threshold."""
+    failing = ~(fidelity >= threshold)
+    firsts = np.where(failing.any(axis=1), failing.argmax(axis=1), -1).tolist()
+    return [j if j >= 0 else None for j in firsts]
+
+
 def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: bool,
               threshold: float) -> list[RunReport]:
     """One report per x, in ascending x, from `stage_deficits`.
@@ -156,7 +146,8 @@ def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: 
     The tag is unitary and maps the previous oracle onto the tag oracle, so the
     distance after a tag is the one after the previous reflection (0 first).
     The last oracle is the basis state (f^-1(x), 0): success is amp^2 there and
-    the residual sqrt(1 - amp^2) = sqrt(d (2 - d)), with d = 1 - amp.
+    the residual sqrt(1 - amp^2) = sqrt(d (2 - d)), with d = 1 - amp. A traced
+    run's first failing stage is its first with fidelity below the threshold.
     """
     check_register_sizes(perm.n, k)
     xs = np.sort(_check_values(xs, perm.n))
@@ -164,20 +155,15 @@ def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: 
     last = deficits[:, -1]
     success = ((1.0 - last) ** 2).tolist()
     v2 = np.sqrt(np.maximum(0.0, last * (2.0 - last))).tolist()
-    traces = [None] * xs.size
+    traces = first_failing = [None] * xs.size
     if trace:
         fidelity = (1.0 - deficits) ** 2
         dist = np.sqrt(2.0 * deficits)
         rows = zip(np.pad(dist[:, :-1], ((0, 0), (1, 0))).tolist(), dist.tolist(),
-                   fidelity.tolist(), (fidelity >= threshold).tolist())
-        traces = [StageTrace(tuple(t), tuple(r), tuple(f), tuple(ok), threshold)
-                  for t, r, f, ok in rows]
-    meta = (None,) * 4 if jop is None else (jop.a, jop.b, jop.bad_size, jop.seed)
-    return [
-        RunReport(x, perm.n, k, p, v, perm.family, perm.seed, *meta, trace=t,
-                  first_failing_stage=None if t is None else t.first_failing)
-        for x, p, v, t in zip(xs.tolist(), success, v2, traces)
-    ]
+                   fidelity.tolist())
+        traces = [StageTrace(tuple(t), tuple(r), tuple(f)) for t, r, f in rows]
+        first_failing = _first_failing(fidelity, threshold)
+    return [RunReport(*row) for row in zip(xs.tolist(), success, v2, traces, first_failing)]
 
 
 def run_inv(
@@ -224,10 +210,6 @@ def final_deficits(perm: Permutation, jop: PseudoIdentity, xs) -> np.ndarray:
 class StepwiseReport:
     """Aggregated stage verdicts over every tested x."""
 
-    n: int
-    x_count: int
-    threshold: float
-    provider: str
     stage_min_fidelity: tuple[float, ...]
     stage_pass: tuple[bool, ...]
     first_failing_stage: int | None
@@ -271,15 +253,6 @@ def run_stepwise_test(
     fidelity = (1.0 - deficits) ** 2
     min_fid = tuple(np.min(fidelity, axis=0, initial=1.0).tolist())
     stage_pass = tuple(f >= threshold for f in min_fid)
-    failing = (fidelity < threshold).tolist()
     first_failing = next((j for j, ok in enumerate(stage_pass) if not ok), None)
-    return StepwiseReport(
-        n=perm.n,
-        x_count=xs.size,
-        threshold=threshold,
-        provider="pseudo" if jop is not None else "exact" if corrupt_stage is None else "corrupted",
-        stage_min_fidelity=min_fid,
-        stage_pass=stage_pass,
-        first_failing_stage=first_failing,
-        per_x_first_failing=tuple(row.index(True) if True in row else None for row in failing),
-    )
+    return StepwiseReport(min_fid, stage_pass, first_failing,
+                          tuple(_first_failing(fidelity, threshold)))

@@ -8,24 +8,25 @@ import math
 
 import numpy as np
 from qperminv import (
-    StateVector,
-    apply_pseudo_identity,
-    apply_reflection_exact,
-    apply_tagging,
     build_permutation,
     build_pseudo_identity,
     check_error_length_bound,
     check_residual_bound,
     compute_params,
     contradiction_check,
-    inversion_residual_stats,
     expected_error_sweep,
-    make_signed_uniform,
-    reflect_about_uniform,
+    inversion_residual_stats,
     run_inv,
     run_stepwise_test,
 )
 from qperminv.cli import main
+from qperminv.ops import (
+    apply_pseudo_identity,
+    apply_reflection_exact,
+    apply_tagging,
+    reflect_about_uniform,
+)
+from qperminv.qstate import StateVector, make_signed_uniform
 
 
 def record(criterion: str, ok: bool) -> None:

@@ -2,6 +2,7 @@
 failure-budget parameter calculus."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -115,7 +116,6 @@ def test_expected_error_sweep_trivial_operator():
     summary = expected_error_sweep(perm, jop, 1)
     assert summary.mean_error_len == 0.0
     assert summary.ratio_exact and summary.error_bound_ok
-    assert summary.x_mode == "exhaustive" and summary.x_count == 16
 
 
 def test_expected_error_sweep_ratio_identity_small_case():
@@ -125,6 +125,8 @@ def test_expected_error_sweep_ratio_identity_small_case():
     assert summary.mean_ratio == Fraction(3, 16)
     assert summary.expected_ratio == Fraction(3, 16)
     assert summary.ratio_exact
+    # exhaustive: the values of a sweep over all 16 x, plus the exact identity
+    assert replace(summary, ratio_exact=None) == expected_error_sweep(perm, jop, 1, xs=range(16))
 
 
 @pytest.mark.parametrize("with_tagged", [True, False])
@@ -143,7 +145,9 @@ def test_expected_error_sweep_sampled_mode():
     jop = build_pseudo_identity(8, 1, a=0.0, b=1 / 16, seed=4)
     xs = sample_xs(8, 32, seed=9)
     summary = expected_error_sweep(perm, jop, 1, xs=xs)
-    assert summary.x_mode == "sampled" and summary.x_count == 32
+    lengths = [error_length(jop, prefix_members(perm, x, 2)) for x in xs]
+    assert len(lengths) == 32
+    assert abs(summary.mean_error_len - np.mean(lengths)) <= 1e-12
     assert summary.ratio_exact is None
     assert summary.error_bound_ok
 
@@ -170,7 +174,7 @@ def test_inversion_residual_stats_trivial():
     jop = build_pseudo_identity(6, 1)
     summary = inversion_residual_stats(perm, jop, q=2.0)
     assert summary.mean_v2 == 0.0
-    assert summary.exceed_count == 0
+    assert summary.markov_count == 0
     assert summary.markov_ok
     assert summary.mean_success == 1.0
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qperminv import (
-    apply_pseudo_identity,
     build_permutation,
     build_pseudo_identity,
     check_error_length_bound,
@@ -19,12 +18,13 @@ from qperminv import (
     error_length,
     expected_error_sweep,
     inversion_residual_stats,
-    make_signed_uniform,
     run_av_inv,
     sample_xs,
 )
 from qperminv.invert import final_deficits
+from qperminv.ops import apply_pseudo_identity
 from qperminv.perm import prefix_members
+from qperminv.qstate import make_signed_uniform
 
 FAMILIES = ("random", "identity", "bit-reversal", "affine-gf2")
 MODE_PAIRS = [(bad, angle) for bad in ("full-rotation", "random-angle")

@@ -199,9 +199,11 @@ def test_run_avinv_records_operator_metadata(tmp_path):
     assert main(["run-avinv", "--family", "random", "--n", "4", "--seed", "5",
                  "--bad-size", "2", "--j-seed", "11", "--out", str(out)]) == 0
     row = read(out).decode().splitlines()[1].split(",")
-    assert row[4] == fmt17(2 / 16)  # b
-    assert row[5] == "2"            # bad_size
-    assert row[6] == "11"           # j_seed
+    assert row[1:3] == ["random", "5"]  # family, perm_seed
+    assert row[3] == "0"                # a
+    assert row[4] == fmt17(2 / 16)      # b
+    assert row[5] == "2"                # bad_size
+    assert row[6] == "11"               # j_seed
 
 
 def test_run_avinv_accepts_serialized_operator(tmp_path):
@@ -473,3 +475,28 @@ def test_v2_norm_is_summed_off_the_target(tmp_path):
     col = RUN_CSV_COLUMNS.index("v2_norm")
     assert len(rows) == 3
     assert all(float(row.split(",")[col]) <= 1e-12 for row in rows)
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command", ["run-inv", "gen-perm", "check-lemmas", "sweep"])
+def test_unwritable_output_path_fails_cleanly(command, where, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    if where == "directory":
+        blocker.mkdir()
+        out = blocker
+    else:
+        blocker.write_text("taken\n")
+        out = blocker / "sub.csv"
+    argv = {
+        "run-inv": ["run-inv", "--family", "identity", "--n", "2", "--out", str(out)],
+        "gen-perm": ["gen-perm", "--family", "identity", "--n", "2", "--out", str(out)],
+        "check-lemmas": ["check-lemmas", "--n", "2", "--count", "1", "--out", str(out)],
+        "sweep": ["sweep", "--config", str(sweep_config(tmp_path, out=str(out)))],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert str(out) in captured.err
+    assert not [name for _, _, names in os.walk(tmp_path) for name in names
+                if name.endswith(".tmp")]

@@ -8,21 +8,22 @@ import numpy as np
 import pytest
 
 from qperminv import (
-    apply_pseudo_reflection,
-    apply_reflection_exact,
-    apply_tagging,
     build_permutation,
     build_pseudo_identity,
-    expected_state_after_reflect,
-    expected_state_after_tag,
-    initial_state,
-    make_signed_uniform,
     run_av_inv,
     run_inv,
     run_stepwise_test,
 )
-from qperminv.ops import PseudoIdentity
+from qperminv.harness import run_reports_to_csv
+from qperminv.invert import expected_state_after_reflect, expected_state_after_tag, initial_state
+from qperminv.ops import (
+    PseudoIdentity,
+    apply_pseudo_reflection,
+    apply_reflection_exact,
+    apply_tagging,
+)
 from qperminv.perm import prefix_members
+from qperminv.qstate import make_signed_uniform
 
 FAMILY_CASES = [
     ("identity", {}),
@@ -206,13 +207,14 @@ def test_trace_distances_vanish_on_one_rotation_operators():
 
 
 def test_run_report_metadata():
+    # the permutation and operator columns come from the writer's inputs,
+    # and stay empty for an exact run
     perm = build_permutation("random", 4, seed=6)
     jop = build_pseudo_identity(4, 1, a=0.0, b=0.25, seed=8)
-    report = run_av_inv(perm, 2, jop)
-    assert (report.family, report.perm_seed) == ("random", 6)
-    assert (report.a, report.b, report.bad_size, report.j_seed) == (0.0, 0.25, 4, 8)
-    exact = run_inv(perm, 2)
-    assert exact.a is None and exact.j_seed is None
+    row = run_reports_to_csv(perm, jop, [run_av_inv(perm, 2, jop)]).splitlines()[1]
+    assert row.split(",")[:8] == ["4", "random", "6", "0", "0.25", "4", "8", "2"]
+    exact = run_reports_to_csv(perm, None, [run_inv(perm, 2)]).splitlines()[1]
+    assert exact.split(",")[:8] == ["4", "random", "6", "", "", "", "", "2"]
 
 
 def test_stepwise_exact_provider_passes():

@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from qperminv import (
-    StateVector,
+    build_permutation,
+    build_pseudo_identity,
+    error_length,
+    parse_pseudo_identity,
+    run_av_inv,
+    serialize_pseudo_identity,
+)
+from qperminv.invert import initial_state
+from qperminv.ops import (
     apply_pseudo_identity,
     apply_pseudo_reflection,
     apply_reflection_exact,
     apply_tagging,
-    build_permutation,
-    build_pseudo_identity,
-    error_length,
-    initial_state,
-    make_signed_uniform,
-    parse_pseudo_identity,
     reflect_about_uniform,
-    run_av_inv,
-    serialize_pseudo_identity,
 )
 from qperminv.perm import prefix_members
+from qperminv.qstate import StateVector, make_signed_uniform
 
 
 def random_state(n, k, rng):

@@ -5,13 +5,13 @@ import pytest
 
 from qperminv import (
     Permutation,
-    StateVector,
-    apply_tagging,
     build_permutation,
     permutation_from_text,
     permutation_to_text,
 )
+from qperminv.ops import apply_tagging
 from qperminv.perm import prefix_members
+from qperminv.qstate import StateVector
 
 FAMILY_CASES = [
     ("identity", {}),

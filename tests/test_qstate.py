@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qperminv import StateVector, build_permutation, make_signed_uniform
+from qperminv import build_permutation
 from qperminv.perm import prefix_members
-from qperminv.qstate import support_members
+from qperminv.qstate import StateVector, make_signed_uniform, support_members
 
 
 def test_index_layout():
