@@ -9,6 +9,7 @@ directory and worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -306,7 +307,9 @@ def cmd_params(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: a parse keeps no state in it."""
     parser = argparse.ArgumentParser(prog="qperminv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

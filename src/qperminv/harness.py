@@ -10,6 +10,7 @@ command emits a manifest with SHA-256 checksums of its outputs.
 
 from __future__ import annotations
 
+import array
 import functools
 import hashlib
 import json
@@ -21,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    check_error_length_bound,
-    check_residual_bound,
+    BOUND_TOL,
     compute_params,
     contradiction_check,
     expected_error_sweep,
@@ -30,8 +30,9 @@ from .analysis import (
     sample_xs,
 )
 from .invert import RunReport, run_batch  # noqa: F401 (run_batch: the CLI's entry)
-from .ops import PseudoIdentity, build_pseudo_identity
+from .ops import PseudoIdentity, _checked_bad_lut, _draw_operator, build_pseudo_identity
 from .perm import Permutation, build_permutation
+from .qstate import signed_support
 
 ENV_OUT_DIR = "QPERMINV_OUT_DIR"
 ENV_WORKERS = "QPERMINV_WORKERS"
@@ -297,41 +298,42 @@ def _check_entry(name: str, measured: float, bound: float, passed: bool) -> dict
 
 def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -> list[dict]:
     """The check-lemmas battery: randomized bound suites, exhaustive
-    expectation identities, residual aggregates, and the parameter calculus."""
+    expectation identities, residual aggregates, and the parameter calculus.
+    A randomized instance builds no operator: it keeps the a, |S|, |S ∩ bad| and
+    d = mean_S (1 - c) that `check_error_length_bound` and `check_residual_bound` read."""
     rng = np.random.default_rng(derive_seed(seed, "lemma-suite"))
     a_choices = (0.0, 1e-6, 1e-3)
     b_choices = (0.0, 1.0 / 16.0, 1.0 / 4.0)
-    worst_len = None
-    worst_perp = None
-    len_viol = perp_viol = 0
+    rows = array.array("d")  # (a, |S|, |S ∩ bad|, d) per instance
     for _ in range(count):
         n = 2 * int(rng.integers(1, n_max // 2 + 1))
         a = a_choices[rng.integers(0, len(a_choices))]
         b = b_choices[rng.integers(0, len(b_choices))]
-        jop = build_pseudo_identity(
-            n, k, a=a, b=b,
+        bad, cosines = _draw_operator(
+            n, a, b,
             bad_mode=("full-rotation", "random-angle")[rng.integers(0, 2)],
             angle_mode=("worst-case", "random")[rng.integers(0, 2)],
             seed=int(rng.integers(0, 2**32)),
         )
+        bad_lut = _checked_bad_lut(cosines, bad, a)
         size = 1 << n
         s_size = int(rng.integers(1, size + 1))
         support = rng.choice(size, size=s_size, replace=False)
         flipped = rng.choice(support, size=int(rng.integers(0, s_size + 1)), replace=False)
-        rep = check_error_length_bound(jop, support, flipped)
-        if not rep.passed:
-            len_viol += 1
-        if worst_len is None or rep.margin < worst_len.margin:
-            worst_len = rep
-        res = check_residual_bound(jop, support, flipped)
-        if not res.passed:
-            perp_viol += 1
-        if worst_perp is None or res.margin < worst_perp.margin:
-            worst_perp = res
+        members = signed_support(support, flipped, n)[0]
+        rows.extend((a, members.size, bad_lut[members].sum(), np.mean(1.0 - cosines[members])))
+    a, s_size, s_bad, d = np.frombuffer(rows).reshape(-1, 4).T
+    length = np.sqrt(np.maximum(0.0, 2.0 * d))
+    bound = 2.0 * np.sqrt(a) * (s_size - s_bad) / np.sqrt(s_size) + 2.0 * np.sqrt(s_bad / s_size)
+    perp = np.sqrt(np.maximum(0.0, d * (2.0 - d)))
+    len_margin = bound - length
+    perp_margin = length - perp
+    i, j = int(np.argmin(len_margin)), int(np.argmin(perp_margin))
     checks = [
-        _check_entry("error-length-bound", worst_len.measured, worst_len.bound, len_viol == 0),
-        _check_entry("orthogonal-residual-bound", worst_perp.perp_norm, worst_perp.error_len,
-                     perp_viol == 0),
+        _check_entry("error-length-bound", length[i], bound[i],
+                     bool(np.all(len_margin >= -BOUND_TOL))),
+        _check_entry("orthogonal-residual-bound", perp[j], length[j],
+                     bool(np.all(perp_margin >= -BOUND_TOL))),
     ]
 
     n = n_max
@@ -340,12 +342,12 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -
     worst_mean = None
     mean_ok = True
     ratio_ok = True
+    perm = build_permutation("random", n, seed=derive_seed(seed, f"battery-perm/n={n}"))
     for bad_size in (1, 2, 4):
         jop = build_pseudo_identity(
             n, k, a=a_small, b=bad_size / (1 << n),
             seed=derive_seed(seed, f"battery-jop/n={n}/bad={bad_size}"),
         )
-        perm = build_permutation("random", n, seed=derive_seed(seed, f"battery-perm/n={n}"))
         for with_tagged, j_values in ((True, range(n // 2)), (False, range(1, n // 2 + 1))):
             for j in j_values:
                 summary = expected_error_sweep(perm, jop, j, with_tagged=with_tagged)
@@ -372,7 +374,6 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -
         jop = build_pseudo_identity(
             n, k, a=0.0, b=b, seed=derive_seed(seed, f"battery-jop/n={n}/bad={bad_size}"),
         )
-        perm = build_permutation("random", n, seed=derive_seed(seed, f"battery-perm/n={n}"))
         summary = inversion_residual_stats(perm, jop, q)
         if summary.residual_bound_applicable:
             res_ok = res_ok and summary.residual_bound_ok

@@ -111,13 +111,7 @@ class PseudoIdentity:
         cosines = np.asarray(cosines, dtype=np.float64)
         if cosines.shape != (size,):
             raise ValueError(f"need one cosine per main value, got shape {cosines.shape}")
-        if not np.all(np.abs(cosines) <= 1.0 + SCALAR_SLACK):
-            raise ValueError("cosines must lie in [-1, 1]")
-        lut = np.zeros(size, dtype=bool)
-        lut[bad] = True
-        good = cosines[~lut]
-        if good.size and np.any(good < 1.0 - a - SCALAR_SLACK):
-            raise ValueError("good-state cosines must lie in [1 - a, 1]")
+        lut = _checked_bad_lut(cosines, bad, a)
         self.n = int(n)
         self.k = int(k)
         self.a = float(a)
@@ -151,6 +145,43 @@ def bad_set_capacity(n: int, b: float) -> int:
     return int(np.floor(b * (1 << n) + 1e-9))
 
 
+def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a: float) -> np.ndarray:
+    """The bad set as a lookup table over main values, once the cosines pass:
+    |c| <= 1 everywhere and c >= 1 - a off the bad set, within SCALAR_SLACK."""
+    if not np.abs(cosines).max() <= 1.0 + SCALAR_SLACK:  # a NaN fails too
+        raise ValueError("cosines must lie in [-1, 1]")
+    lut = np.zeros(cosines.size, dtype=bool)
+    lut[bad] = True
+    if not np.where(lut, 1.0, cosines).min() >= 1.0 - a - SCALAR_SLACK:
+        raise ValueError("good-state cosines must lie in [1 - a, 1]")
+    return lut
+
+
+def _draw_operator(n: int, a: float, b: float, bad_mode: str, angle_mode: str,
+                   seed: int | None, explicit_bad_set=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted bad set and the cosines of `build_pseudo_identity`, drawn from
+    one generator seeded with `seed` (0 when None)."""
+    size = 1 << n
+    capacity = bad_set_capacity(n, b)
+    rng = np.random.default_rng(0 if seed is None else seed)
+    if explicit_bad_set is not None:
+        bad = support_members(explicit_bad_set)
+        if bad.size > capacity:
+            raise ValueError(f"explicit bad set of size {bad.size} exceeds floor(b * 2^n) = {capacity}")
+    else:
+        bad = np.sort(rng.permutation(size)[:capacity]).astype(np.int64)
+    if angle_mode == "worst-case":
+        cosines = np.full(size, 1.0 - a, dtype=np.float64)
+    else:
+        cosines = rng.uniform(1.0 - a, 1.0, size=size)
+    if bad.size:
+        if bad_mode == "full-rotation":
+            cosines[bad] = 0.0
+        else:
+            cosines[bad] = rng.uniform(-1.0, 1.0, size=bad.size)
+    return bad, cosines
+
+
 def build_pseudo_identity(
     n: int,
     k: int = 1,
@@ -171,24 +202,7 @@ def build_pseudo_identity(
     """
     if n < 1:
         raise ValueError(f"main register needs at least 1 qubit, got {n}")
-    size = 1 << n
-    capacity = bad_set_capacity(n, b)
-    rng = np.random.default_rng(0 if seed is None else seed)
-    if explicit_bad_set is not None:
-        bad = support_members(explicit_bad_set)
-        if bad.size > capacity:
-            raise ValueError(f"explicit bad set of size {bad.size} exceeds floor(b * 2^n) = {capacity}")
-    else:
-        bad = np.sort(rng.permutation(size)[:capacity]).astype(np.int64)
-    if angle_mode == "worst-case":
-        cosines = np.full(size, 1.0 - a, dtype=np.float64)
-    else:
-        cosines = rng.uniform(1.0 - a, 1.0, size=size)
-    if bad.size:
-        if bad_mode == "full-rotation":
-            cosines[bad] = 0.0
-        else:
-            cosines[bad] = rng.uniform(-1.0, 1.0, size=bad.size)
+    bad, cosines = _draw_operator(n, a, b, bad_mode, angle_mode, seed, explicit_bad_set)
     return PseudoIdentity(n, k, a, b, bad, cosines, bad_mode, angle_mode, seed)
 
 

@@ -7,15 +7,24 @@ import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from qperminv import build_pseudo_identity, derive_seed, serialize_pseudo_identity
-from qperminv.cli import main
+from qperminv import (
+    build_pseudo_identity,
+    check_error_length_bound,
+    check_residual_bound,
+    derive_seed,
+    serialize_pseudo_identity,
+)
+from qperminv import harness
+from qperminv.cli import build_parser, main
 from qperminv.harness import (
     RUN_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     atomic_write_text,
     fmt17,
+    lemma_battery,
     resolve_workers,
 )
 
@@ -244,6 +253,89 @@ def test_check_lemmas_passes_and_reports(tmp_path, capsys):
     assert "error-length-bound" in names and "parameter-identity" in names
     for check in report["checks"]:
         assert set(check) == {"name", "measured", "bound", "margin", "pass"}
+
+
+def _per_instance_entries(n_max, count, seed, k):
+    """The randomized suite's two entries from one built operator and both
+    public bound checks per instance, drawn in the battery's order."""
+    rng = np.random.default_rng(derive_seed(seed, "lemma-suite"))
+    worst_len = worst_perp = None
+    len_ok = perp_ok = True
+    for _ in range(count):
+        n = 2 * int(rng.integers(1, n_max // 2 + 1))
+        a = (0.0, 1e-6, 1e-3)[rng.integers(0, 3)]
+        b = (0.0, 1.0 / 16.0, 1.0 / 4.0)[rng.integers(0, 3)]
+        jop = build_pseudo_identity(
+            n, k, a=a, b=b,
+            bad_mode=("full-rotation", "random-angle")[rng.integers(0, 2)],
+            angle_mode=("worst-case", "random")[rng.integers(0, 2)],
+            seed=int(rng.integers(0, 2**32)),
+        )
+        size = 1 << n
+        s_size = int(rng.integers(1, size + 1))
+        support = rng.choice(size, size=s_size, replace=False)
+        flipped = rng.choice(support, size=int(rng.integers(0, s_size + 1)), replace=False)
+        rep = check_error_length_bound(jop, support, flipped)
+        len_ok = len_ok and rep.passed
+        if worst_len is None or rep.margin < worst_len.margin:
+            worst_len = rep
+        res = check_residual_bound(jop, support, flipped)
+        perp_ok = perp_ok and res.passed
+        if worst_perp is None or res.margin < worst_perp.margin:
+            worst_perp = res
+
+    def entry(name, measured, bound, passed):
+        return {"name": name, "measured": measured, "bound": bound,
+                "margin": bound - measured, "pass": passed}
+
+    return [entry("error-length-bound", worst_len.measured, worst_len.bound, len_ok),
+            entry("orthogonal-residual-bound", worst_perp.perp_norm, worst_perp.error_len,
+                  perp_ok)]
+
+
+# With many instances the least margin is 0, met by an instance whose cosines
+# on S are all 1; the short suites have no such instance, so a changed draw
+# order shows in their entries.
+@pytest.mark.parametrize("n_max,count,seed,k", [(2, 50, 0, 1), (6, 400, 1, 1),
+                                                 (8, 300, 2, 2), (16, 5, 4, 1),
+                                                 (4, 3, 1, 1), (8, 4, 0, 2)])
+def test_randomized_suite_matches_per_instance_checks(n_max, count, seed, k):
+    assert lemma_battery(n_max, count, seed, k)[:2] == _per_instance_entries(n_max, count, seed, k)
+
+
+def test_randomized_suite_builds_no_operator(monkeypatch):
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build_pseudo_identity(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_pseudo_identity", counting_build)
+    lemma_battery(4, 100, 0)
+    assert len(built) == 6  # the exhaustive tail's three bad sizes, twice
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys):
+    argvs = [
+        ["check-lemmas", "--n", "4", "--count", "20", "--seed", "3", "--k", "2"],
+        ["params", "--r", "3", "--n", "10"],
+        ["params", "--r", "3"],
+        ["check-lemmas", "--n", "6", "--count", "10"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    in_one_parser = [run(argv) for argv in argvs]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert in_one_parser == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
 
 
 @pytest.mark.parametrize(

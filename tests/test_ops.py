@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qperminv import (
+    PseudoIdentity,
     build_permutation,
     build_pseudo_identity,
     error_length,
@@ -194,6 +195,23 @@ def test_bad_set_capacity_enforced():
         build_pseudo_identity(2, 1, a=0.0, b=0.25, explicit_bad_set=[0, 1])
     with pytest.raises(ValueError, match="ancilla"):
         build_pseudo_identity(2, 0, a=0.0, b=0.0)
+
+
+@pytest.mark.parametrize(
+    "z,cosine,match",
+    [(0, float("nan"), "-1, 1"), (1, float("nan"), "-1, 1"), (1, -1.5, "-1, 1"),
+     (0, 0.5, "good-state"), (1, -1.0, None), (0, 0.9, None)],
+    ids=["good-nan", "bad-nan", "bad-below-minus-1", "good-below-1-a", "bad-minus-1", "good-at-1-a"],
+)
+def test_operator_cosines_are_checked(z, cosine, match):
+    """n=2, bad set {1}, a=0.1: a bad cosine may be anything in [-1, 1], a good one in [0.9, 1]."""
+    cosines = np.full(4, 0.95)
+    cosines[z] = cosine
+    if match is None:
+        assert PseudoIdentity(2, 1, 0.1, 0.25, [1], cosines).cosines[z] == cosine
+    else:
+        with pytest.raises(ValueError, match=match):
+            PseudoIdentity(2, 1, 0.1, 0.25, [1], cosines)
 
 
 def test_sampled_bad_sets_have_exact_size_and_nest():
