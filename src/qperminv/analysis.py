@@ -126,16 +126,13 @@ class ResidualSweep:
 
 
 def sample_xs(n: int, count: int, seed: int) -> list[int]:
-    """Stratified seeded sample of x values, ascending: one draw per equal slice."""
+    """Stratified seeded sample of x values, ascending: one draw per equal
+    slice, all from one call with arrays of bounds (the same stream as one
+    call per slice)."""
     size = 1 << n
     count = min(count, size)
-    rng = np.random.default_rng(seed)
-    xs = []
-    for i in range(count):
-        lo = i * size // count
-        hi = (i + 1) * size // count
-        xs.append(int(rng.integers(lo, hi)))
-    return xs
+    edges = np.arange(count + 1) * size // max(count, 1)  # no draw for count <= 0
+    return np.random.default_rng(seed).integers(edges[:-1], edges[1:]).tolist()
 
 
 def good_term_coarse(n: int, a: float) -> float:

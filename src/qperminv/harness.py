@@ -10,7 +10,6 @@ command emits a manifest with SHA-256 checksums of its outputs.
 
 from __future__ import annotations
 
-import array
 import functools
 import hashlib
 import json
@@ -30,9 +29,15 @@ from .analysis import (
     sample_xs,
 )
 from .invert import RunReport, run_batch  # noqa: F401 (run_batch: the CLI's entry)
-from .ops import PseudoIdentity, _checked_bad_lut, _draw_operator, build_pseudo_identity
+from .ops import (
+    ANGLE_MODES,
+    BAD_MODES,
+    PseudoIdentity,
+    _checked_bad_lut,
+    _draw_operator,
+    build_pseudo_identity,
+)
 from .perm import Permutation, build_permutation
-from .qstate import signed_support
 
 ENV_OUT_DIR = "QPERMINV_OUT_DIR"
 ENV_WORKERS = "QPERMINV_WORKERS"
@@ -296,45 +301,107 @@ def _check_entry(name: str, measured: float, bound: float, passed: bool) -> dict
     }
 
 
+# Cosines the randomized suite holds at once. Per-chunk cost is small from
+# about 2^12 on, and a larger chunk raises the peak memory of `check-lemmas`.
+SUITE_CHUNK = 1 << 12
+
+
+def _suite_chunk(ns, a, cosines, bads, supports, flips) -> tuple[np.ndarray, ...]:
+    """|S|, |S ∩ bad| and d = mean_S (1 - c) for a chunk of randomized
+    instances, given per instance as n, a, cosines, sorted bad set, S and T.
+
+    Each instance's members are offset by its base in the concatenated
+    cosines, and every instance is checked at once as `_checked_bad_lut` and
+    `signed_support` check one; S must also hold no member twice. Each d is a
+    reduce over its own sorted segment, so it equals `np.mean` on that S."""
+    sizes = np.left_shift(1, np.asarray(ns, dtype=np.int64))
+    base = np.cumsum(sizes) - sizes
+    values = np.concatenate(cosines)
+    bad_keys = np.concatenate(bads) + np.repeat(base, [bad.size for bad in bads])
+    lut = _checked_bad_lut(values, bad_keys, a, base)
+    s_size = np.array([support.size for support in supports])
+    if not s_size.all():
+        raise ValueError("support must be nonempty")
+    owner = np.repeat(np.arange(sizes.size), s_size)
+    members = np.concatenate(supports)
+    outside = (members < 0) | (members >= sizes[owner])
+    if outside.any():
+        raise ValueError(f"support member out of range for {ns[owner[outside.argmax()]]} bits")
+    keys = np.sort(members + base[owner])
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("support members must be distinct")
+    in_support = np.zeros(values.size, dtype=bool)
+    in_support[keys] = True
+    owner = np.repeat(np.arange(sizes.size), [flipped.size for flipped in flips])
+    flipped = np.concatenate(flips)
+    if not (((flipped >= 0) & (flipped < sizes[owner])).all()
+            and in_support[flipped + base[owner]].all()):
+        raise ValueError("flipped set must be a subset of the support")
+    starts = np.cumsum(s_size) - s_size
+    s_bad = np.add.reduceat(lut[keys], starts, dtype=np.int64)
+    gaps = 1.0 - values[keys]
+    ends = starts + s_size
+    sums = [np.add.reduce(gaps[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())]
+    return s_size, s_bad, np.array(sums) / s_size
+
+
 def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -> list[dict]:
     """The check-lemmas battery: randomized bound suites, exhaustive
     expectation identities, residual aggregates, and the parameter calculus.
-    A randomized instance builds no operator: it keeps the a, |S|, |S ∩ bad| and
-    d = mean_S (1 - c) that `check_error_length_bound` and `check_residual_bound` read."""
+
+    A randomized instance builds no operator. The loop makes its draws, in a
+    fixed order, and holds them until the next instance would take the held
+    cosines past SUITE_CHUNK (a larger instance is a chunk alone). Each chunk
+    is checked and reduced at once (`_suite_chunk`) to the a, |S|,
+    |S ∩ bad| and d that `check_error_length_bound` and `check_residual_bound`
+    read. Only each entry's first least-margin instance and pass flag are kept."""
     rng = np.random.default_rng(derive_seed(seed, "lemma-suite"))
     a_choices = (0.0, 1e-6, 1e-3)
     b_choices = (0.0, 1.0 / 16.0, 1.0 / 4.0)
-    rows = array.array("d")  # (a, |S|, |S ∩ bad|, d) per instance
+    # n / 2, a, b, bad mode, angle mode and operator seed in one call: the same
+    # stream as one call per parameter
+    low, high = np.array((1, 0, 0, 0, 0, 0)), np.array((n_max // 2 + 1, 3, 3, 2, 2, 2**32))
+    chunk = ([], [], [], [], [], [])  # n, a, cosines, bad set, S, T
+    held = 0
+    worst = [None, None]  # (measured, bound, margin) per entry
+    passed = [True, True]
+
+    def fold(entry, measured, bound):
+        margin = bound - measured
+        i = int(np.argmin(margin))
+        if worst[entry] is None or margin[i] < worst[entry][2]:
+            worst[entry] = (measured[i], bound[i], margin[i])
+        passed[entry] = passed[entry] and bool(np.all(margin >= -BOUND_TOL))
+
+    def reduce_chunk():
+        s_size, s_bad, d = _suite_chunk(*chunk)
+        a = np.array(chunk[1])
+        length = np.sqrt(np.maximum(0.0, 2.0 * d))
+        fold(0, length,
+             2.0 * np.sqrt(a) * (s_size - s_bad) / np.sqrt(s_size) + 2.0 * np.sqrt(s_bad / s_size))
+        fold(1, np.sqrt(np.maximum(0.0, d * (2.0 - d))), length)
+        for part in chunk:
+            part.clear()
+
     for _ in range(count):
-        n = 2 * int(rng.integers(1, n_max // 2 + 1))
-        a = a_choices[rng.integers(0, len(a_choices))]
-        b = b_choices[rng.integers(0, len(b_choices))]
-        bad, cosines = _draw_operator(
-            n, a, b,
-            bad_mode=("full-rotation", "random-angle")[rng.integers(0, 2)],
-            angle_mode=("worst-case", "random")[rng.integers(0, 2)],
-            seed=int(rng.integers(0, 2**32)),
-        )
-        bad_lut = _checked_bad_lut(cosines, bad, a)
+        half, a_at, b_at, bad_at, angle_at, op_seed = rng.integers(low, high).tolist()
+        n = 2 * half
         size = 1 << n
+        if held and held + size > SUITE_CHUNK:
+            reduce_chunk()
+            held = 0
+        held += size
+        a = a_choices[a_at]
+        bad, cosines = _draw_operator(n, a, b_choices[b_at], BAD_MODES[bad_at],
+                                      ANGLE_MODES[angle_at], op_seed)
         s_size = int(rng.integers(1, size + 1))
         support = rng.choice(size, size=s_size, replace=False)
         flipped = rng.choice(support, size=int(rng.integers(0, s_size + 1)), replace=False)
-        members = signed_support(support, flipped, n)[0]
-        rows.extend((a, members.size, bad_lut[members].sum(), np.mean(1.0 - cosines[members])))
-    a, s_size, s_bad, d = np.frombuffer(rows).reshape(-1, 4).T
-    length = np.sqrt(np.maximum(0.0, 2.0 * d))
-    bound = 2.0 * np.sqrt(a) * (s_size - s_bad) / np.sqrt(s_size) + 2.0 * np.sqrt(s_bad / s_size)
-    perp = np.sqrt(np.maximum(0.0, d * (2.0 - d)))
-    len_margin = bound - length
-    perp_margin = length - perp
-    i, j = int(np.argmin(len_margin)), int(np.argmin(perp_margin))
-    checks = [
-        _check_entry("error-length-bound", length[i], bound[i],
-                     bool(np.all(len_margin >= -BOUND_TOL))),
-        _check_entry("orthogonal-residual-bound", perp[j], length[j],
-                     bool(np.all(perp_margin >= -BOUND_TOL))),
-    ]
+        for part, value in zip(chunk, (n, a, cosines, bad, support, flipped)):
+            part.append(value)
+    reduce_chunk()
+    checks = [_check_entry(name, *worst[entry][:2], passed[entry])
+              for entry, name in enumerate(("error-length-bound", "orthogonal-residual-bound"))]
 
     n = n_max
     a_small = 2.0 ** (-2 * n)

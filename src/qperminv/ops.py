@@ -145,14 +145,16 @@ def bad_set_capacity(n: int, b: float) -> int:
     return int(np.floor(b * (1 << n) + 1e-9))
 
 
-def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a: float) -> np.ndarray:
+def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a, starts=(0,)) -> np.ndarray:
     """The bad set as a lookup table over main values, once the cosines pass:
-    |c| <= 1 everywhere and c >= 1 - a off the bad set, within SCALAR_SLACK."""
+    |c| <= 1 everywhere and c >= 1 - a off the bad set, within SCALAR_SLACK.
+    The cosines split into segments at `starts`, with one `a` per segment."""
     if not np.abs(cosines).max() <= 1.0 + SCALAR_SLACK:  # a NaN fails too
         raise ValueError("cosines must lie in [-1, 1]")
     lut = np.zeros(cosines.size, dtype=bool)
     lut[bad] = True
-    if not np.where(lut, 1.0, cosines).min() >= 1.0 - a - SCALAR_SLACK:
+    good_min = np.minimum.reduceat(np.where(lut, 1.0, cosines), starts)
+    if not (good_min >= 1.0 - np.asarray(a) - SCALAR_SLACK).all():
         raise ValueError("good-state cosines must lie in [1 - a, 1]")
     return lut
 
@@ -160,15 +162,22 @@ def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a: float) -> np.ndarr
 def _draw_operator(n: int, a: float, b: float, bad_mode: str, angle_mode: str,
                    seed: int | None, explicit_bad_set=None) -> tuple[np.ndarray, np.ndarray]:
     """The sorted bad set and the cosines of `build_pseudo_identity`, drawn from
-    one generator seeded with `seed` (0 when None)."""
+    one generator seeded with `seed` (0 when None). Worst-case angles on an
+    empty bad set draw nothing, so no generator is made."""
+    if seed is not None and seed < 0:  # refused as numpy refuses it, drawn from or not
+        raise ValueError(f"operator seed must be non-negative, got {seed}")
     size = 1 << n
     capacity = bad_set_capacity(n, b)
-    rng = np.random.default_rng(0 if seed is None else seed)
     if explicit_bad_set is not None:
         bad = support_members(explicit_bad_set)
         if bad.size > capacity:
             raise ValueError(f"explicit bad set of size {bad.size} exceeds floor(b * 2^n) = {capacity}")
     else:
+        bad = None if capacity else np.empty(0, dtype=np.int64)
+    if angle_mode == "worst-case" and bad is not None and not bad.size:
+        return bad, np.full(size, 1.0 - a, dtype=np.float64)
+    rng = np.random.default_rng(0 if seed is None else seed)
+    if explicit_bad_set is None:
         bad = np.sort(rng.permutation(size)[:capacity]).astype(np.int64)
     if angle_mode == "worst-case":
         cosines = np.full(size, 1.0 - a, dtype=np.float64)

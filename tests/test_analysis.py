@@ -169,6 +169,22 @@ def test_sample_xs_is_stratified_and_deterministic():
     assert len(sample_xs(2, 100, seed=0)) == 4  # clamped to the domain
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 4, 8, 14, 16])
+def test_sample_xs_is_one_draw_per_slice(n):
+    """The array-bounded draw gives what one `rng.integers(lo, hi)` per slice
+    gives, with no warning; no count below 1 draws anything."""
+    size = 1 << n
+    for count in (-2, 0, 1, 3, 100, size - 1, size + 5):
+        for seed in (0, 11, 2**63 + 5) if count <= 100 else (2**63 + 5,):
+            rng = np.random.default_rng(seed)
+            slices = min(count, size)
+            expected = [int(rng.integers(i * size // slices, (i + 1) * size // slices))
+                        for i in range(slices)]
+            xs = sample_xs(n, count, seed)
+            assert xs == expected and all(type(x) is int for x in xs)
+
+
 def test_inversion_residual_stats_trivial():
     perm = build_permutation("random", 6, seed=7)
     jop = build_pseudo_identity(6, 1)

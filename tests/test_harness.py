@@ -22,11 +22,14 @@ from qperminv.cli import build_parser, main
 from qperminv.harness import (
     RUN_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
+    _suite_chunk,
     atomic_write_text,
     fmt17,
     lemma_battery,
     resolve_workers,
 )
+from qperminv.ops import _checked_bad_lut
+from qperminv.qstate import signed_support
 
 
 @pytest.fixture(autouse=True)
@@ -298,9 +301,82 @@ def _per_instance_entries(n_max, count, seed, k):
 # order shows in their entries.
 @pytest.mark.parametrize("n_max,count,seed,k", [(2, 50, 0, 1), (6, 400, 1, 1),
                                                  (8, 300, 2, 2), (16, 5, 4, 1),
-                                                 (4, 3, 1, 1), (8, 4, 0, 2)])
+                                                 (4, 3, 1, 1), (8, 4, 0, 2),
+                                                 (16, 30, 3, 1), (8, 777, 5, 1)])
 def test_randomized_suite_matches_per_instance_checks(n_max, count, seed, k):
     assert lemma_battery(n_max, count, seed, k)[:2] == _per_instance_entries(n_max, count, seed, k)
+
+
+def _valid_chunk():
+    """Three instances (n = 2, 4, 2) as `_suite_chunk` takes them: n, a,
+    cosines, sorted bad set, S and T."""
+    cosines = [np.array([0.9995, 0.0, 1.0, 0.999]), np.ones(16),
+               np.array([1.0 - 1e-6, 1.0, 1.0, -0.5])]
+    return ([2, 4, 2], [1e-3, 0.0, 1e-6], cosines,
+            [np.array([1]), np.array([], dtype=np.int64), np.array([3])],
+            [np.array([3, 1, 0]), np.array([15, 2, 7]), np.array([0, 3])],
+            [np.array([1]), np.array([], dtype=np.int64), np.array([3, 0])])
+
+
+def test_suite_chunk_reduces_each_instance_as_alone():
+    ns, a, cosines, bads, supports, flips = _valid_chunk()
+    s_size, s_bad, d = _suite_chunk(ns, a, cosines, bads, supports, flips)
+    for i, n in enumerate(ns):
+        members = signed_support(supports[i], flips[i], n)[0]
+        lut = _checked_bad_lut(cosines[i], bads[i], a[i])
+        assert s_size[i] == members.size and s_bad[i] == lut[members].sum()
+        assert d[i] == np.mean(1.0 - cosines[i][members])
+    assert s_bad.tolist() == [1, 0, 1]
+
+
+# (field, instance, new value, message); fields index `_valid_chunk`'s tuple.
+# Once offset, S member 4 of instance 0 falls in instance 1's range, and T
+# members 6 of instance 0 and -1 of instance 1 fall on a neighbour's S member.
+CHUNK_CORRUPTIONS = [
+    (2, 0, [0.9995, 0.0, 1.5, 0.999], "cosines must lie in"),
+    (2, 2, [1.0, np.nan, 1.0, -0.5], "cosines must lie in"),
+    (2, 1, [1.0] * 15 + [1.0 - 1e-6], "good-state cosines"),
+    (2, 2, [1.0 - 2e-6, 1.0, 1.0, -0.5], "good-state cosines"),
+    (4, 2, [], "support must be nonempty"),
+    (4, 1, [15, 2, 15], "support members must be distinct"),
+    (4, 0, [3, 1, 4], "support member out of range for 2 bits"),
+    (4, 1, [15, 16, 7], "support member out of range for 4 bits"),
+    (4, 1, [-1, 2, 7], "support member out of range for 4 bits"),
+    (5, 2, [1], "flipped set must be a subset of the support"),
+    (5, 0, [6], "flipped set must be a subset of the support"),
+    (5, 1, [-1], "flipped set must be a subset of the support"),
+]
+
+
+@pytest.mark.parametrize("field,instance,value,match", CHUNK_CORRUPTIONS)
+def test_suite_chunk_refuses_corrupt_instances(field, instance, value, match):
+    chunk = _valid_chunk()
+    chunk[field][instance] = np.array(value, dtype=chunk[field][instance].dtype)
+    with pytest.raises(ValueError, match=match):
+        _suite_chunk(*chunk)
+
+
+def test_suite_chunk_checks_each_good_cosine_against_its_own_a():
+    chunk = _valid_chunk()
+    chunk[2][0][2] = 1.0 - 1e-3  # at 1 - a for instance 0
+    _suite_chunk(*chunk)
+    chunk[2][1][2] = 1.0 - 1e-3  # below 1 - a = 1 for instance 1
+    with pytest.raises(ValueError, match="good-state"):
+        _suite_chunk(*chunk)
+
+
+def test_randomized_suite_memory_does_not_grow_with_count():
+    lemma_battery(8, 20, 1)  # one-time allocations (imports, caches) out of the way
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            lemma_battery(8, count, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20000) <= 1.5 * peak(2000)
 
 
 def test_randomized_suite_builds_no_operator(monkeypatch):

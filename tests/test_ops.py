@@ -14,10 +14,12 @@ from qperminv import (
 )
 from qperminv.invert import initial_state
 from qperminv.ops import (
+    _draw_operator,
     apply_pseudo_identity,
     apply_pseudo_reflection,
     apply_reflection_exact,
     apply_tagging,
+    bad_set_capacity,
     reflect_about_uniform,
 )
 from qperminv.perm import prefix_members
@@ -221,6 +223,56 @@ def test_sampled_bad_sets_have_exact_size_and_nest():
     small = set(build_pseudo_identity(6, 1, b=2 / 64, seed=13).bad_set)
     large = set(build_pseudo_identity(6, 1, b=4 / 64, seed=13).bad_set)
     assert small <= large
+
+
+def _draw_with_generator(n, a, b, bad_mode, angle_mode, seed, explicit_bad_set=None):
+    """The operator draw with one generator made whatever is drawn."""
+    size = 1 << n
+    rng = np.random.default_rng(seed)
+    if explicit_bad_set is not None:
+        bad = np.array(sorted(set(explicit_bad_set)), dtype=np.int64)
+    else:
+        bad = np.sort(rng.permutation(size)[:bad_set_capacity(n, b)]).astype(np.int64)
+    if angle_mode == "worst-case":
+        cosines = np.full(size, 1.0 - a)
+    else:
+        cosines = rng.uniform(1.0 - a, 1.0, size=size)
+    if bad.size:
+        cosines[bad] = 0.0 if bad_mode == "full-rotation" else rng.uniform(-1.0, 1.0, size=bad.size)
+    return bad, cosines
+
+
+@pytest.mark.parametrize("explicit_bad_set", [None, ()])
+@pytest.mark.parametrize("bad_mode", ["full-rotation", "random-angle"])
+@pytest.mark.parametrize("angle_mode", ["worst-case", "random"])
+def test_empty_bad_set_draw_matches_one_generator(explicit_bad_set, bad_mode, angle_mode):
+    for n in range(1, 17):
+        for a in (0.0, 1e-6, 1e-3):
+            for b in (0.0, 2.0 ** -(n + 1)):
+                args = (n, a, b, bad_mode, angle_mode, 7 * n, explicit_bad_set)
+                bad, cosines = _draw_operator(*args)
+                ref_bad, ref_cosines = _draw_with_generator(*args)
+                assert bad.dtype == np.int64 and bad.size == 0
+                assert np.array_equal(bad, ref_bad)
+                assert cosines.tobytes() == ref_cosines.tobytes()
+
+
+def test_empty_worst_case_draw_makes_no_generator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for explicit_bad_set in (None, (), []):
+        bad, cosines = _draw_operator(6, 1e-3, 1 / 128, "random-angle", "worst-case", 5,
+                                      explicit_bad_set)
+        assert bad.size == 0 and np.all(cosines == 1.0 - 1e-3)
+    assert build_pseudo_identity(6, 1, a=1e-3, seed=5).bad_size == 0
+
+
+def test_negative_operator_seed_is_refused_even_without_draws():
+    for b in (0.0, 0.25):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_pseudo_identity(4, 1, b=b, seed=-1)
 
 
 def test_pseudo_identity_roundtrip_is_identity():
