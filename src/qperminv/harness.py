@@ -405,55 +405,38 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -
 
     n = n_max
     a_small = 2.0 ** (-2 * n)
-    worst_ratio_err = 0.0
-    worst_mean = None
-    mean_ok = True
-    ratio_ok = True
     perm = build_permutation("random", n, seed=derive_seed(seed, f"battery-perm/n={n}"))
+    sweeps = []
     for bad_size in (1, 2, 4):
         jop = build_pseudo_identity(
             n, k, a=a_small, b=bad_size / (1 << n),
             seed=derive_seed(seed, f"battery-jop/n={n}/bad={bad_size}"),
         )
         for with_tagged, j_values in ((True, range(n // 2)), (False, range(1, n // 2 + 1))):
-            for j in j_values:
-                summary = expected_error_sweep(perm, jop, j, with_tagged=with_tagged)
-                ratio_ok = ratio_ok and summary.ratio_exact
-                worst_ratio_err = max(
-                    worst_ratio_err, abs(float(summary.mean_ratio - summary.expected_ratio))
-                )
-                mean_ok = mean_ok and summary.error_bound_ok
-                if worst_mean is None or (summary.error_bound - summary.mean_error_len) < (
-                    worst_mean.error_bound - worst_mean.mean_error_len
-                ):
-                    worst_mean = summary
-    checks.append(_check_entry("overlap-ratio-identity", worst_ratio_err, 1e-12, ratio_ok))
+            sweeps.extend(expected_error_sweep(perm, jop, j, with_tagged=with_tagged)
+                          for j in j_values)
+    checks.append(_check_entry(
+        "overlap-ratio-identity", max(abs(float(s.mean_ratio - s.expected_ratio)) for s in sweeps),
+        1e-12, all(s.ratio_exact for s in sweeps)))
+    worst_mean = min(sweeps, key=lambda s: s.error_bound - s.mean_error_len)
     checks.append(_check_entry("mean-error-length-bound", worst_mean.mean_error_len,
-                               worst_mean.error_bound, mean_ok))
+                               worst_mean.error_bound, all(s.error_bound_ok for s in sweeps)))
 
-    worst_res = None
-    res_ok = True
-    markov_ok = True
-    worst_markov = (0.0, 0.0)
+    residuals = []
     for bad_size in (1, 2, 4):
         b = bad_size / (1 << n)
         q = (1.0 / b) ** 0.25 / math.sqrt(2.0 * n)
         jop = build_pseudo_identity(
             n, k, a=0.0, b=b, seed=derive_seed(seed, f"battery-jop/n={n}/bad={bad_size}"),
         )
-        summary = inversion_residual_stats(perm, jop, q)
-        if summary.residual_bound_applicable:
-            res_ok = res_ok and summary.residual_bound_ok
-        if worst_res is None or (summary.residual_bound - summary.mean_v2) < (
-            worst_res.residual_bound - worst_res.mean_v2
-        ):
-            worst_res = summary
-        markov_ok = markov_ok and summary.markov_ok
-        if summary.markov_count - summary.markov_limit > worst_markov[0] - worst_markov[1]:
-            worst_markov = (float(summary.markov_count), float(summary.markov_limit))
-    checks.append(_check_entry("mean-residual-bound", worst_res.mean_v2,
-                               worst_res.residual_bound, res_ok))
-    checks.append(_check_entry("residual-markov-count", worst_markov[0], worst_markov[1], markov_ok))
+        residuals.append(inversion_residual_stats(perm, jop, q))
+    worst_res = min(residuals, key=lambda s: s.residual_bound - s.mean_v2)
+    checks.append(_check_entry("mean-residual-bound", worst_res.mean_v2, worst_res.residual_bound,
+                               all(s.residual_bound_ok for s in residuals
+                                   if s.residual_bound_applicable)))
+    worst_markov = min(residuals, key=lambda s: s.markov_limit - s.markov_count)
+    checks.append(_check_entry("residual-markov-count", worst_markov.markov_count,
+                               worst_markov.markov_limit, all(s.markov_ok for s in residuals)))
 
     worst_q_err = 0.0
     for r in range(1, 21):

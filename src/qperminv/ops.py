@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perm import DEFAULT_MAX_BITS, Permutation, _check_stage, _check_value, prefix_members
+from .perm import (DEFAULT_MAX_BITS, Permutation, _check_stage, _check_value, _read_rows,
+                   prefix_members)
 from .qstate import StateVector, support_members
 
 BAD_MODES = ("full-rotation", "random-angle")
@@ -262,13 +263,15 @@ def serialize_pseudo_identity(jop: PseudoIdentity) -> str:
     if (jop.angle_mode == "random" or jop.bad_mode == "random-angle"
             or not np.array_equal(jop.cosines, _implied_cosines(jop.n, jop.a, jop.bad_set))):
         lines.append(f"angles {1 << jop.n}")
-        lines.extend(f"{z} {jop.cosines[z]:.17g}" for z in range(1 << jop.n))
+        lines.extend(f"{z} {c:.17g}" for z, c in enumerate(jop.cosines.tolist()))
     else:
         lines.append("angles 0")
     return "\n".join(lines) + "\n"
 
 
 def parse_pseudo_identity(text: str) -> PseudoIdentity:
+    if not text.isascii():  # numpy's reader mishandles some other code points
+        raise ValueError("pseudo-identity file must be ASCII")
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty pseudo-identity file")
@@ -311,24 +314,15 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     else:
         if angle_count != (1 << n):
             raise ValueError(f"cosine block must list all {1 << n} values")
-        # 2^n lines with distinct in-range values define every cosine. Each
-        # check runs over a chunk of lines at once, and a failed one names its
-        # first line in the chunk; chunks bound the token lists held in memory.
-        zs = np.empty(angle_count, dtype=np.int64)
-        cosines = np.empty(angle_count, dtype=np.float64)
-        for lo in range(0, angle_count, 1024):
-            chunk = lines[pos + lo:pos + min(lo + 1024, angle_count)]
-            if set(map(len, map(str.split, chunk))) != {2}:
-                line = next(line for line in chunk if len(line.split()) != 2)
-                raise ValueError(f"cosine line must be 'z cosine', got {line!r}")
-            tokens = " ".join(chunk).split()
-            ints = list(map(int, tokens[0::2]))
-            if min(ints) < 0 or max(ints) >= angle_count:
-                main_value(next(t for t, z in zip(tokens[0::2], ints) if not 0 <= z < angle_count))
-            zs[lo:lo + len(chunk)] = ints
-            cosines[ints] = list(map(float, tokens[1::2]))
-        repeated = np.ones(angle_count, dtype=bool)
-        repeated[np.unique(zs, return_index=True)[1]] = False
+        records = _read_rows(lines[pos:pos + angle_count], [("z", np.int64), ("c", np.float64)],
+                             "cosine lines must be 'z cosine' with a decimal z")
+        zs = records["z"]
+        if zs.min() < 0 or zs.max() >= angle_count:
+            main_value(zs[(zs < 0) | (zs >= angle_count)][0])
+        repeated = np.bincount(zs, minlength=angle_count) > 1
         if repeated.any():
-            raise ValueError(f"cosine block lists main value {zs[repeated.argmax()]} twice")
+            raise ValueError(f"cosine block lists main value {repeated.argmax()} twice")
+        # 2^n distinct in-range values: every cosine is set once
+        cosines = np.empty(angle_count, dtype=np.float64)
+        cosines[zs] = records["c"]
     return PseudoIdentity(n, k, a, b, bad, cosines, bad_mode, angle_mode, seed)

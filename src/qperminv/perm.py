@@ -203,31 +203,48 @@ def _check_stage(perm: Permutation, j: int) -> None:
 # order y = 0, 1, ...; trailing newline required; no comments.
 
 def permutation_to_text(perm: Permutation) -> str:
-    lines = [f"n={perm.n}"]
-    lines.extend(str(int(v)) for v in perm.table)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"n={perm.n}", *map(str, perm.table.tolist())]) + "\n"
 
 
 def permutation_from_text(text: str, max_bits: int = DEFAULT_MAX_BITS) -> Permutation:
     if not text.endswith("\n"):
         raise ValueError("permutation file must end with a newline")
-    lines = text.split("\n")[:-1]
-    if not lines or not lines[0].startswith("n="):
+    if not text.isascii():  # numpy's reader mishandles some other code points
+        raise ValueError("permutation file must be ASCII")
+    # int() reads \r as a space and refuses \x1c-\x1f; numpy's reader ends a
+    # line at \r and reads \x1c-\x1f as spaces
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        raise ValueError("table rows must be decimal integers, one per line")
+    lines = text.replace("\r", " ").split("\n")[:-1]
+    if not lines[0].startswith("n="):
         raise ValueError("permutation file must start with 'n=<int>'")
     try:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise ValueError("permutation file must start with 'n=<int>'") from exc
     _check_bits(n, max_bits)
-    if len(lines) != (1 << n) + 1:
-        raise ValueError(f"expected {(1 << n)} table rows, found {len(lines) - 1}")
-    try:
-        table = [int(s) for s in lines[1:]]
-    except ValueError as exc:
-        raise ValueError("table rows must be decimal integers") from exc
-    if any(not 0 <= v < (1 << n) for v in table):
+    size = 1 << n
+    if len(lines) != size + 1:
+        raise ValueError(f"expected {size} table rows, found {len(lines) - 1}")
+    table = _read_rows(lines[1:], np.int64, "table rows must be decimal integers, one per line")
+    if table.min() < 0 or table.max() >= size:
         raise ValueError("table entry out of range")
     return Permutation(n, table, "from-table", None, max_bits)
+
+
+def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
+    """One record of `dtype` per row, read by numpy's text reader: tokens
+    split by spaces or tabs, no comments, no quotes. A blank row, a wrong
+    token count or a token numpy cannot read raises ValueError(message)."""
+    if not rows[0].strip():  # numpy skips blank rows, and warns when all are
+        raise ValueError(message)
+    try:
+        records = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{message}: {exc}") from None
+    if records.shape != (len(rows),):  # a skipped blank row, or extra columns
+        raise ValueError(message)
+    return records
 
 
 def load_permutation(path, max_bits: int = DEFAULT_MAX_BITS) -> Permutation:

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 from qperminv import (
+    build_permutation,
     build_pseudo_identity,
     check_error_length_bound,
     check_residual_bound,
     derive_seed,
+    inversion_residual_stats,
     serialize_pseudo_identity,
 )
 from qperminv import harness
@@ -188,6 +191,15 @@ def test_run_inv_rejects_bad_perm_file(tmp_path, capsys):
     assert "bijection" in capsys.readouterr().err
 
 
+def test_run_inv_refuses_an_all_blank_table_in_one_line(tmp_path, capsys, recwarn):
+    pfile = tmp_path / "blank.txt"
+    pfile.write_text("n=2\n\n\n\n\n")
+    assert main(["run-inv", "--perm-file", str(pfile), "--out", str(tmp_path / "r.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not recwarn.list
+    assert captured.err == "error: table rows must be decimal integers, one per line\n"
+
+
 def test_run_inv_usage_errors(tmp_path, capsys):
     assert main(["run-inv", "--out", str(tmp_path / "r.csv")]) == 2
     assert main(["run-inv", "--family", "identity", "--out", str(tmp_path / "r.csv")]) == 2
@@ -305,6 +317,28 @@ def _per_instance_entries(n_max, count, seed, k):
                                                  (16, 30, 3, 1), (8, 777, 5, 1)])
 def test_randomized_suite_matches_per_instance_checks(n_max, count, seed, k):
     assert lemma_battery(n_max, count, seed, k)[:2] == _per_instance_entries(n_max, count, seed, k)
+
+
+# The battery's exhaustive residual runs at n_max, bad sizes 1, 2 and 4 with
+# q = b^(-1/4) / sqrt(2 n): the entry is the run whose count{v2 > 1/q} comes
+# nearest its Markov limit. (n_max, seed, k) -> (measured, bound) pins it.
+@pytest.mark.parametrize("n_max,seed,k,pinned", [(8, 0, 1, (0.0, 23.516999492776478)),
+                                                  (16, 0, 1, (1.0, 1026.8088959265708)),
+                                                  (4, 9, 2, (0.0, 4.396665552857799))])
+def test_markov_entry_is_the_residual_run_nearest_its_limit(n_max, seed, k, pinned):
+    perm = build_permutation("random", n_max, seed=derive_seed(seed, f"battery-perm/n={n_max}"))
+    runs = []
+    for bad_size in (1, 2, 4):
+        b = bad_size / (1 << n_max)
+        jop = build_pseudo_identity(n_max, k, a=0.0, b=b, seed=derive_seed(
+            seed, f"battery-jop/n={n_max}/bad={bad_size}"))
+        runs.append(inversion_residual_stats(perm, jop, (1.0 / b) ** 0.25 / math.sqrt(2.0 * n_max)))
+    worst = min(runs, key=lambda run: run.markov_limit - run.markov_count)
+    entry = next(c for c in lemma_battery(n_max, 1, seed, k) if c["name"] == "residual-markov-count")
+    assert entry == {"name": "residual-markov-count", "measured": float(worst.markov_count),
+                     "bound": worst.markov_limit, "margin": worst.markov_limit - worst.markov_count,
+                     "pass": all(run.markov_ok for run in runs)}
+    assert (entry["measured"], entry["bound"]) == pinned
 
 
 def _valid_chunk():

@@ -9,6 +9,7 @@ from qperminv import (
     build_pseudo_identity,
     error_length,
     parse_pseudo_identity,
+    permutation_to_text,
     run_av_inv,
     serialize_pseudo_identity,
 )
@@ -474,6 +475,70 @@ def _random_mode_text_with(line_index, replacement):
 def test_parse_rejects_bad_main_values(line_index, replacement, match):
     with pytest.raises(ValueError, match=match):
         parse_pseudo_identity(_random_mode_text_with(line_index, replacement))
+
+
+def _edit_last(replacement):
+    return lambda lines: lines[:-1] + [replacement(lines[-1])]
+
+
+# Each edit of a random-angle n=4 file (16 'z cosine' lines, z = 15 last)
+# gives back the unedited cosines or is refused with the message. The cosine
+# lines are read by numpy's text reader: a decimal z and a float, split by
+# spaces or tabs.
+@pytest.mark.parametrize(
+    "edit,expected",
+    [
+        (lambda lines: lines, None),
+        (_edit_last(lambda line: line.replace(" ", "\t")), None),
+        (_edit_last(lambda line: f" +{line}\t "), None),
+        (_edit_last(lambda line: line.replace(" ", "\x1f")), None),
+        (lambda lines: lines + ["junk", "", "0 7"], None),
+        (_edit_last(lambda line: "15"), "z cosine"),
+        (_edit_last(lambda line: line + " 0.5"), "z cosine"),
+        (_edit_last(lambda line: "15 0x1p-1"), "z cosine"),
+        (_edit_last(lambda line: "1_5" + line[2:]), "z cosine"),
+        (_edit_last(lambda line: "15 Infinity"), r"\[-1, 1\]"),
+        (_edit_last(lambda line: "15 nan"), r"\[-1, 1\]"),
+        (_edit_last(lambda line: "15.0 0.5"), "z cosine"),
+        (_edit_last(lambda line: "99999999999999999999 0.5"), "z cosine"),
+        (_edit_last(lambda line: "16 0.5"), "out of range"),
+        (_edit_last(lambda line: "\u0661\u0665" + line[2:]), "ASCII"),
+        (_edit_last(lambda line: "0 0.5"), "main value 0 twice"),
+        (_edit_last(lambda line: ""), "z cosine"),
+        (_edit_last(lambda line: " \t "), "z cosine"),
+        (lambda lines: lines[:-9] + [""] + lines[-9:], "z cosine"),
+        (lambda lines: lines[:-16] + [""] * 16, "z cosine"),
+        (lambda lines: lines[:-16] + [" "] * 16, "z cosine"),
+    ],
+    ids=["unedited", "tab", "sign-and-spaces", "unit-separator", "trailing-lines", "one-token",
+         "three-tokens", "hex-float", "digit-separator", "infinity", "nan", "float-z", "huge-z",
+         "z-16", "non-ascii-z", "repeated-z", "blank-line", "whitespace-line",
+         "blank-line-then-block-line",
+         "all-blank", "all-whitespace"],
+)
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_operator_file_parity(edit, expected, eol, recwarn):
+    jop = build_pseudo_identity(4, 1, a=1e-3, b=0.125, angle_mode="random",
+                                bad_mode="random-angle", seed=5)
+    text = eol.join(edit(serialize_pseudo_identity(jop).splitlines())) + eol
+    if expected is None:
+        assert np.array_equal(parse_pseudo_identity(text).cosines, jop.cosines)
+    else:
+        with pytest.raises(ValueError, match=expected):
+            parse_pseudo_identity(text)
+    assert not recwarn.list
+
+
+def test_writers_match_the_per_value_formulas_at_n16():
+    perm = build_permutation("random", 16, seed=3)
+    assert permutation_to_text(perm) == "".join(
+        [f"n={perm.n}\n", *(f"{int(v)}\n" for v in perm.table)])
+    jop = build_pseudo_identity(16, 1, a=1e-3, b=4 / 65536, angle_mode="random",
+                                bad_mode="random-angle", seed=7)
+    head = f"16 1 0.001 {4 / 65536:.17g} random/random-angle 7\nbad 4\n"
+    assert serialize_pseudo_identity(jop) == "".join(
+        [head, *(f"{z}\n" for z in jop.bad_set), "angles 65536\n",
+         *(f"{z} {jop.cosines[z]:.17g}\n" for z in range(65536))])
 
 
 @pytest.mark.parametrize("head", ["0 1", "17 1", "40 1", "4 0"])

@@ -230,6 +230,59 @@ def test_permutation_file_strictness(text, match):
         permutation_from_text(text)
 
 
+def _table_text(rows, n=2, eol="\n"):
+    return eol.join([f"n={n}", *rows]) + eol
+
+
+_SIXTEEN = [str(v) for v in range(16)]
+
+
+# Each file is accepted with the table 0, 1, ... or refused with the message.
+# Rows are read by numpy's text reader: decimal integers with an optional
+# sign, spaces or tabs around them, LF or CRLF line ends.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (_table_text(["0", "1", "2", "3"], eol="\r\n"), None),
+        (_table_text(["+0", "1", "+2", "3"]), None),
+        (_table_text([" 0", "1 ", "\t2\t", " \t3"]), None),
+        (_table_text(["\r0", "1\r", "2", "3"]), None),
+        (_table_text(["\x0c0", "1\x0b", "2", "3"]), None),
+        (_table_text(["0", "-0", "2", "3"]), "bijection"),
+        (_table_text(["0", "", "2", "3"]), "decimal integers, one per line"),
+        (_table_text(["0", "1", "", "2", "3"]), "expected 4 table rows, found 5"),
+        (_table_text(["", "", "", ""]), "decimal integers, one per line"),
+        (_table_text([" ", "\t", " \t", ""]), "decimal integers, one per line"),
+        (_table_text(["#0", "1", "2", "3"]), "decimal integers"),
+        (_table_text(["0", "1 # one", "2", "3"]), "decimal integers"),
+        (_table_text(["0", "1 1", "2", "3"]), "decimal integers"),
+        (_table_text(["0 0", "1 1", "2 2", "3 3"]), "decimal integers, one per line"),
+        (_table_text(["0\r1", "2", "3", "3"]), "decimal integers"),
+        (_table_text(["0", "1", "2.0", "3"]), "decimal integers"),
+        (_table_text(["0", "1", "2", "99999999999999999999"]), "decimal integers"),
+        (_table_text(["0", "1", "2", "-3"]), "out of range"),
+        (_table_text(['"0"', "1", "2", "3"]), "decimal integers"),
+        (_table_text(["0", "1\x00", "2", "3"]), "decimal integers"),
+        (_table_text(["0", "\x00", "2", "3"]), "decimal integers"),
+        (_table_text([*_SIXTEEN[:10], "1_0", *_SIXTEEN[11:]], n=4), "decimal integers"),
+        (_table_text(["0", "1\x1c", "2", "3"]), "decimal integers"),
+        (_table_text([*_SIXTEEN[:4], "\u0664", *_SIXTEEN[5:]], n=4), "ASCII"),
+    ],
+    ids=["crlf", "plus-sign", "spaces-and-tabs", "stray-cr", "form-feed-and-vtab",
+         "minus-zero", "blank-row", "extra-blank-row", "all-blank", "all-whitespace",
+         "comment-row", "trailing-comment", "two-tokens", "two-columns", "cr-inside-row",
+         "float-row", "int64-overflow", "negative", "quoted", "nul-after-digit",
+         "nul-row", "digit-separator", "file-separator", "non-ascii-digit"],
+)
+def test_permutation_file_parity(text, expected, recwarn):
+    if expected is None:
+        assert permutation_from_text(text).table.tolist() == list(range(4))
+    else:
+        with pytest.raises(ValueError, match=expected):
+            permutation_from_text(text)
+    assert not recwarn.list
+
+
 def test_direct_construction_checks_table_shape():
     with pytest.raises(ValueError, match="entries"):
         Permutation(2, [0, 1, 2])

@@ -107,6 +107,28 @@ def test_operator_text_parses_or_raises(text):
     assert np.array_equal(again.cosines, jop.cosines)
 
 
+_cosines = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0 - 2.0**-53,
+                     2.0**-53 - 1.0, 1.0, -1.0, 1.0 - 2.0**-52]),
+)
+
+
+@given(st.lists(_cosines, min_size=4, max_size=4), st.sampled_from(["r", ".17g"]))
+@PROPERTY
+def test_written_cosines_read_back_bit_for_bit(cosines, style):
+    """Every z on the bad set, so that any cosine in [-1, 1] is allowed."""
+    block = [f"{z} {c!r}" if style == "r" else f"{z} {c:.17g}" for z, c in enumerate(cosines)]
+    text = "\n".join(["2 1 0.0 1.0 random/random-angle 3", "bad 4", "0", "1", "2", "3",
+                      "angles 4", *block]) + "\n"
+    bits = np.array(cosines).view(np.int64)
+    jop = parse_pseudo_identity(text)
+    assert np.array_equal(jop.cosines.view(np.int64), bits)
+    again = parse_pseudo_identity(serialize_pseudo_identity(jop))
+    assert np.array_equal(again.cosines.view(np.int64), bits)
+
+
 _json_scalar = st.one_of(
     st.none(), st.booleans(), _small_int, st.integers(),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=5),
