@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .invert import final_deficits
+from .invert import _check_operator, _levels, stage_deficits
 from .ops import PseudoIdentity
 from .perm import Permutation, _check_values
 from .qstate import signed_support
@@ -35,13 +35,18 @@ def _deficit(jop: PseudoIdentity, support, flipped) -> tuple[np.ndarray, float]:
     return members, float(np.mean(1.0 - jop.cosines[members]))
 
 
-def _length(d: float) -> float:
-    return math.sqrt(max(0.0, 2.0 * d))
+def _margins(a, size, bad, d) -> tuple:
+    """The error length sqrt(2d), its bound 2*sqrt(a)*|S∩good|/sqrt(|S|) +
+    2*sqrt(|S∩bad|/|S|) and the orthogonal part sqrt(d (2 - d)), for scalars
+    or arrays of a, |S|, |S ∩ bad| and d."""
+    length = np.sqrt(np.maximum(0.0, 2.0 * d))
+    bound = 2.0 * np.sqrt(a) * (size - bad) / np.sqrt(size) + 2.0 * np.sqrt(bad / size)
+    return length, bound, np.sqrt(np.maximum(0.0, d * (2.0 - d)))
 
 
 def error_length(jop: PseudoIdentity, support, flipped=()) -> float:
     """||(J - I) psi|| for the signed uniform state over (support, flipped)."""
-    return _length(_deficit(jop, support, flipped)[1])
+    return math.sqrt(max(0.0, 2.0 * _deficit(jop, support, flipped)[1]))
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,8 @@ class BoundReport:
 def check_error_length_bound(jop: PseudoIdentity, support, flipped=()) -> BoundReport:
     """Error length against 2*sqrt(a)*|S∩good|/sqrt(|S|) + 2*sqrt(|S∩bad|/|S|)."""
     members, d = _deficit(jop, support, flipped)
-    measured = _length(d)
-    size = members.size
     bad_overlap = jop.count_bad(members)
-    bound = (2.0 * math.sqrt(jop.a) * (size - bad_overlap) / math.sqrt(size)
-             + 2.0 * math.sqrt(bad_overlap / size))
+    measured, bound, _ = map(float, _margins(jop.a, members.size, bad_overlap, d))
     margin = bound - measured
     return BoundReport(measured, bound, margin, margin >= -BOUND_TOL, bad_overlap)
 
@@ -82,8 +84,7 @@ class ResidualReport:
 def check_residual_bound(jop: PseudoIdentity, support, flipped=()) -> ResidualReport:
     members, d = _deficit(jop, support, flipped)
     alpha = float(np.mean(jop.cosines[members]))
-    perp_norm = math.sqrt(max(0.0, d * (2.0 - d)))
-    err = _length(d)
+    err, _, perp_norm = map(float, _margins(jop.a, members.size, jop.count_bad(members), d))
     margin = err - perp_norm
     return ResidualReport(alpha, perp_norm, err, margin, margin >= -BOUND_TOL)
 
@@ -139,6 +140,32 @@ def good_term_coarse(n: int, a: float) -> float:
     return 2.0 * math.sqrt(a) * 2.0 ** (n / 2)
 
 
+def _error_sweeps(perm: Permutation, jop: PseudoIdentity, xs, levels) -> list[ErrorLengthSweep]:
+    """`expected_error_sweep` at each level i in levels, from one level pass
+    over the gaps 2 - 2c and the bad-set indicator."""
+    n = perm.n
+    exhaustive = xs is None
+    xs = np.arange(perm.size) if exhaustive else _check_values(xs, n)
+    stats = _levels(perm, np.stack([2.0 - 2.0 * jop.cosines, jop._bad_lut]))
+    expected_ratio = Fraction(jop.bad_size, perm.size)
+    bound = 2.0 * math.sqrt(jop.bad_size / perm.size) + good_term_coarse(n, jop.a)
+    sweeps = []
+    for i in levels:
+        gap, bad = stats[i][0]
+        blocks = xs >> (n - 2 * i)
+        lengths = np.sqrt(np.maximum(gap, 0.0))[blocks]
+        # each bad mean is a multiple of 1/|S|, so their float sum is exact
+        mean_ratio = Fraction(float(bad[blocks].sum())) / xs.size
+        mean_len = float(lengths.mean())
+        slack = BOUND_TOL
+        if not exhaustive and xs.size > 1:
+            slack += 3.0 * float(lengths.std(ddof=1)) / math.sqrt(xs.size)
+        exact = abs(mean_ratio - expected_ratio) <= IDENTITY_TOL if exhaustive else None
+        sweeps.append(ErrorLengthSweep(mean_len, float(lengths.max()), mean_ratio, expected_ratio,
+                                       exact, bound, mean_len <= bound + slack))
+    return sweeps
+
+
 def expected_error_sweep(
     perm: Permutation,
     jop: PseudoIdentity,
@@ -149,42 +176,17 @@ def expected_error_sweep(
     """Mean error length over x at stage j, with the exact overlap identity.
 
     with_tagged only picks the stage range: the flipped set does not change
-    ||(J - I) psi(S, T)||^2 = (1/|S|) sum_{y in S} (2 - 2 c_y), and one bincount
-    over the classes f(y) >> (n - 2j) gives it for every x. Exhaustive sweeps
-    (xs=None) check that the mean of |bad ∩ S| / |S| equals |bad| / 2^n
-    exactly and that the mean error length stays within 2*sqrt(|bad|/2^n) +
-    2*sqrt(a)*2^(n/2); sampled sweeps get three standard errors of slack.
+    ||(J - I) psi(S, T)||^2 = (1/|S|) sum_{y in S} (2 - 2 c_y), the mean gap
+    of x's stage-j block. Exhaustive sweeps (xs=None) check that the mean of
+    |bad ∩ S| / |S| equals |bad| / 2^n exactly and that the mean error length
+    stays within 2*sqrt(|bad|/2^n) + 2*sqrt(a)*2^(n/2); sampled sweeps get
+    three standard errors of slack.
     """
-    n = perm.n
-    if jop.n != n:
-        raise ValueError(f"operator acts on {jop.n} main qubits but permutation has {n}")
-    max_j = n // 2 - 1 if with_tagged else n // 2
+    _check_operator(perm, jop)
+    max_j = perm.n // 2 - 1 if with_tagged else perm.n // 2
     if not 0 <= j <= max_j:
         raise ValueError(f"stage index {j} out of range [0, {max_j}]")
-    exhaustive = xs is None
-    shift = n - 2 * j
-    classes = (np.arange(perm.size) if exhaustive else _check_values(xs, n)) >> shift
-    keys = perm.table >> shift
-    sums = np.bincount(keys, weights=2.0 - 2.0 * jop.cosines, minlength=perm.size >> shift)
-    bad_counts = np.bincount(keys[jop._bad_lut], minlength=perm.size >> shift)
-    lengths = np.sqrt(np.maximum(sums, 0.0) / (1 << shift))[classes]
-    count = classes.size
-    mean_ratio = Fraction(int(bad_counts[classes].sum()), count << shift)
-    expected_ratio = Fraction(jop.bad_size, perm.size)
-    mean_len = float(lengths.mean())
-    bound = 2.0 * math.sqrt(jop.bad_size / perm.size) + good_term_coarse(n, jop.a)
-    slack = BOUND_TOL
-    if not exhaustive and count > 1:
-        slack += 3.0 * float(lengths.std(ddof=1)) / math.sqrt(count)
-    return ErrorLengthSweep(
-        mean_error_len=mean_len,
-        max_error_len=float(lengths.max()),
-        mean_ratio=mean_ratio,
-        expected_ratio=expected_ratio,
-        ratio_exact=(abs(mean_ratio - expected_ratio) <= IDENTITY_TOL) if exhaustive else None,
-        error_bound=bound,
-        error_bound_ok=mean_len <= bound + slack,
-    )
+    return _error_sweeps(perm, jop, xs, [j])[0]
 
 
 def inversion_residual_stats(
@@ -195,8 +197,8 @@ def inversion_residual_stats(
 ) -> ResidualSweep:
     """Aggregate the error-tolerant inversion's residuals over x.
 
-    Each run's final deficit d = 1 - amp comes from `final_deficits`' closed
-    form: its success probability is amp^2 and its residual
+    Each run's final deficit d = 1 - amp is the last stage's column of
+    `stage_deficits`: its success probability is amp^2 and its residual
     sqrt(1 - amp^2) = sqrt(d (2 - d)), read without cancellation. On exhaustive
     sweeps the mean must stay within 2n*sqrt(|bad|/2^n) plus the coarse good
     term, whenever that bound is at most 1; the count{residual > 1/q} is also
@@ -206,7 +208,8 @@ def inversion_residual_stats(
         raise ValueError(f"q must be positive, got {q}")
     n = perm.n
     exhaustive = xs is None
-    deficit = final_deficits(perm, jop, np.arange(perm.size) if exhaustive else xs)
+    xs = np.arange(perm.size) if exhaustive else xs
+    deficit = stage_deficits(perm, xs, jop, [n // 2 - 1])[:, 0]
     success = (1.0 - deficit) ** 2
     v2 = np.sqrt(np.maximum(0.0, deficit * (2.0 - deficit)))
     count = v2.size

@@ -120,7 +120,7 @@ def _resolve_pseudo_identity(args, n: int):
     j_seed = args.j_seed if args.j_seed is not None else derive_seed(args.master_seed, "pseudo-identity")
     b = args.b if args.bad_size is None else args.bad_size / (1 << n)
     return build_pseudo_identity(
-        n, max(1, args.k), a=args.a, b=b,
+        n, args.k, a=args.a, b=b,
         bad_mode=args.bad_mode, angle_mode=args.angle_mode, seed=j_seed,
     )
 
@@ -163,8 +163,9 @@ def cmd_gen_perm(args) -> int:
 
 
 def _cmd_run(args, with_pseudo: bool) -> int:
-    if args.k < 0:
-        return _usage(f"--k must be at least 0, got {args.k}")
+    least_k = 1 if with_pseudo else 0  # a pseudo-identity needs an ancilla
+    if args.k < least_k:
+        return _usage(f"--k must be at least {least_k}, got {args.k}")
     try:
         resolve_workers(args.workers)  # still validated; closed forms need no fan-out
     except ValueError as exc:
@@ -233,8 +234,9 @@ def cmd_check_lemmas(args) -> int:
 
 
 def cmd_test_stages(args) -> int:
-    if args.k < 0:
-        return _usage(f"--k must be at least 0, got {args.k}")
+    least_k = 1 if args.provider == "pseudo" else 0
+    if args.k < least_k:
+        return _usage(f"--k must be at least {least_k}, got {args.k}")
     if args.corrupt_stage is not None and args.provider != "corrupted":
         return _usage("--corrupt-stage needs --provider corrupted")
     try:

@@ -22,9 +22,10 @@ import numpy as np
 from . import __version__
 from .analysis import (
     BOUND_TOL,
+    _error_sweeps,
+    _margins,
     compute_params,
     contradiction_check,
-    expected_error_sweep,
     inversion_residual_stats,
     sample_xs,
 )
@@ -266,21 +267,16 @@ def sweep_rows(config: dict) -> tuple[list[list[str]], dict]:
                         seed=j_seed,
                     )
                     stats = inversion_residual_stats(perm, jop, 1.0 / threshold, xs)
-                    tagged = [
-                        expected_error_sweep(perm, jop, j, with_tagged=True, xs=xs).mean_error_len
-                        for j in range(n // 2)
-                    ]
-                    plain = [
-                        expected_error_sweep(perm, jop, j, with_tagged=False, xs=xs).mean_error_len
-                        for j in range(1, n // 2 + 1)
-                    ]
+                    # tagged stages j = 0 .. n/2 - 1 and plain j = 1 .. n/2
+                    lengths = [s.mean_error_len
+                               for s in _error_sweeps(perm, jop, xs, range(n // 2 + 1))]
                     rows.append([
                         _cell(n), family, _cell(perm_seed), _cell(k), _cell(float(a)),
                         _cell(b), _cell(bad_size), _cell(j_seed), x_mode, _cell(x_count),
                         _cell(stats.mean_success), _cell(stats.mean_v2), _cell(stats.max_v2),
                         _cell(threshold),
                         _cell(int(np.count_nonzero(stats.v2_values > threshold))),
-                        _cell(float(np.mean(tagged))), _cell(float(np.mean(plain))),
+                        _cell(float(np.mean(lengths[:-1]))), _cell(float(np.mean(lengths[1:]))),
                     ])
     return rows, derived
 
@@ -353,8 +349,11 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -
     fixed order, and holds them until the next instance would take the held
     cosines past SUITE_CHUNK (a larger instance is a chunk alone). Each chunk
     is checked and reduced at once (`_suite_chunk`) to the a, |S|,
-    |S ∩ bad| and d that `check_error_length_bound` and `check_residual_bound`
-    read. Only each entry's first least-margin instance and pass flag are kept."""
+    |S ∩ bad| and d from which `_margins` gives both entries, as it does in
+    `check_error_length_bound` and `check_residual_bound`. Only each entry's
+    first least-margin instance and pass flag are kept. The exhaustive sweeps'
+    tagged stages j = 0 .. n/2 - 1 and plain j = 1 .. n/2 are the levels
+    0 .. n/2 of one pass per operator."""
     rng = np.random.default_rng(derive_seed(seed, "lemma-suite"))
     a_choices = (0.0, 1e-6, 1e-3)
     b_choices = (0.0, 1.0 / 16.0, 1.0 / 4.0)
@@ -375,11 +374,9 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -
 
     def reduce_chunk():
         s_size, s_bad, d = _suite_chunk(*chunk)
-        a = np.array(chunk[1])
-        length = np.sqrt(np.maximum(0.0, 2.0 * d))
-        fold(0, length,
-             2.0 * np.sqrt(a) * (s_size - s_bad) / np.sqrt(s_size) + 2.0 * np.sqrt(s_bad / s_size))
-        fold(1, np.sqrt(np.maximum(0.0, d * (2.0 - d))), length)
+        length, bound, perp = _margins(np.array(chunk[1]), s_size, s_bad, d)
+        fold(0, length, bound)
+        fold(1, perp, length)
         for part in chunk:
             part.clear()
 
@@ -412,9 +409,7 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -
             n, k, a=a_small, b=bad_size / (1 << n),
             seed=derive_seed(seed, f"battery-jop/n={n}/bad={bad_size}"),
         )
-        for with_tagged, j_values in ((True, range(n // 2)), (False, range(1, n // 2 + 1))):
-            sweeps.extend(expected_error_sweep(perm, jop, j, with_tagged=with_tagged)
-                          for j in j_values)
+        sweeps.extend(_error_sweeps(perm, jop, None, range(n // 2 + 1)))
     checks.append(_check_entry(
         "overlap-ratio-identity", max(abs(float(s.mean_ratio - s.expected_ratio)) for s in sweeps),
         1e-12, all(s.ratio_exact for s in sweeps)))

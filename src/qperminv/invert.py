@@ -75,8 +75,9 @@ class RunReport:
 # The closed forms work with the unit vectors v_y = c_y + i s_y of the
 # pseudo-identity's rotations (all 1 for the exact reflections) in image
 # order: row v holds y = f^-1(v). There the stage-i set of x, the y whose f(y)
-# shares x's top 2i bits, is a contiguous block B_i, and the statistics of a
-# block are its mean v̄_B and its spread mean_B |v - v̄_B|^2 = 1 - |v̄_B|^2.
+# shares x's top 2i bits, is a contiguous block B_i, the four stage-(i+1)
+# blocks side by side, and the statistics of a block are its mean v̄_B and its
+# spread mean_B |v - v̄_B|^2 = 1 - |v̄_B|^2.
 
 def _check_operator(perm: Permutation, jop: PseudoIdentity) -> None:
     if jop.n != perm.n:
@@ -87,26 +88,51 @@ def _sq(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _image_vectors(perm: Permutation, jop: PseudoIdentity | None) -> np.ndarray:
+def _vectors(perm: Permutation, jop: PseudoIdentity | None) -> np.ndarray:
     if jop is None:
         return np.ones(perm.size, dtype=np.complex128)
     _check_operator(perm, jop)
-    return (jop.cosines + 1j * jop.sines)[perm.inverse_table]
+    return jop.cosines + 1j * jop.sines
 
 
-def _block_stats(vecs: np.ndarray, xs: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and spread of each x's stage-i block: one reduction per block, then
-    a gather by x's top 2i bits."""
-    blocks = vecs.reshape(1 << 2 * i, -1)
-    means = blocks.mean(axis=1)
-    spreads = _sq(blocks - means[:, None]).mean(axis=1)
-    classes = xs >> (vecs.size.bit_length() - 1 - 2 * i)
-    return means[classes], spreads[classes]
+def _sum4(kids: np.ndarray) -> np.ndarray:
+    return (kids[..., 0] + kids[..., 1]) + (kids[..., 2] + kids[..., 3])
 
 
-def stage_deficits(perm: Permutation, xs, jop: PseudoIdentity | None = None) -> np.ndarray:
-    """1 - amp for each x in xs (rows) and stage j (columns), where amp is the
-    overlap of the run's state after stage j with the stage-j reflection oracle.
+def _levels(perm: Permutation, per_y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(means, spreads) of per_y, indexed by y on its last axis, over every
+    stage-i block, i = 0 .. n/2, in block order, from one gather into image
+    order and one upward pass; spreads for complex vectors only, else None.
+
+    A parent's mean is the mean of its children's (a mean times its block size
+    is the block's sum: quarters are exact), and its spread is the mean of
+    theirs plus the mean of |child mean - parent mean|^2, free of cancellation.
+    Sums pair up, so a constant block has that constant as its mean and spread
+    0 exactly.
+    """
+    mean = per_y[..., perm.inverse_table]
+    spread = np.zeros(mean.shape) if np.iscomplexobj(mean) else None
+    levels = [(mean, spread)]
+    for _ in range(perm.n // 2):
+        kids = mean.reshape(*mean.shape[:-1], -1, 4)
+        mean = _sum4(kids) / 4.0
+        if spread is not None:
+            spread = _sum4(spread.reshape(kids.shape) + _sq(kids - mean[..., None])) / 4.0
+        levels.append((mean, spread))
+    return levels[::-1]
+
+
+def _at(levels: list, i: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and spread of each x's stage-i block, gathered by x's top 2i bits."""
+    means, spreads = levels[i]
+    blocks = xs >> 2 * (len(levels) - 1 - i)
+    return means[blocks], spreads[blocks]
+
+
+def stage_deficits(perm: Permutation, xs, jop: PseudoIdentity | None, stages) -> np.ndarray:
+    """1 - amp for each x in xs (rows) and each stage j in stages (columns),
+    where amp is the overlap of the run's state after stage j with the stage-j
+    reflection oracle.
 
     J commutes with every tag, so after stage j the run is J^dag (M_j x I) J
     |u,0>, with u = 2^(-n/2) and M_j the exact stages 0 .. j, each applied to
@@ -117,14 +143,16 @@ def stage_deficits(perm: Permutation, xs, jop: PseudoIdentity | None = None) -> 
 
         1 - amp = |v̄_B - v̄|^2 / 2 + spread_all / 2 + (1/2 - 2^-(j+1)) spread_B.
 
-    An exact run has every v_y = 1, so its deficits are exactly 0.
+    An exact run has every v_y = 1, so its deficits are exactly 0. The last
+    stage's B is the single y = f^-1(x), so that column alone costs O(2^n)
+    for all x.
     """
     xs = _check_values(xs, perm.n)
-    vecs = _image_vectors(perm, jop)
-    mean_all, spread_all = _block_stats(vecs, xs, 0)
+    levels = _levels(perm, _vectors(perm, jop))
+    mean_all, spread_all = levels[0]
     columns = []
-    for j in range(perm.n // 2):
-        means, spreads = _block_stats(vecs, xs, j + 1)
+    for j in stages:
+        means, spreads = _at(levels, j + 1, xs)
         columns.append(0.5 * _sq(means - mean_all) + 0.5 * spread_all
                        + (0.5 - 0.5 ** (j + 1)) * spreads)
     return np.stack(columns, axis=1)
@@ -139,7 +167,8 @@ def _first_failing(fidelity: np.ndarray, threshold: float) -> list[int | None]:
 
 def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: bool,
               threshold: float) -> list[RunReport]:
-    """One report per x, in ascending x, from `stage_deficits`.
+    """One report per x, in ascending x, from `stage_deficits`: every stage
+    when traced, else only the last.
 
     Oracle and state are unit vectors with a real overlap amp, so the fidelity
     is amp^2 and the distance after stage j's reflection is sqrt(2 (1 - amp)).
@@ -151,7 +180,7 @@ def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: 
     """
     check_register_sizes(perm.n, k)
     xs = np.sort(_check_values(xs, perm.n))
-    deficits = stage_deficits(perm, xs, jop)
+    deficits = stage_deficits(perm, xs, jop, range(perm.n // 2) if trace else [perm.n // 2 - 1])
     last = deficits[:, -1]
     success = ((1.0 - last) ** 2).tolist()
     v2 = np.sqrt(np.maximum(0.0, last * (2.0 - last))).tolist()
@@ -190,22 +219,6 @@ def run_av_inv(
     return run_batch(perm, jop, [x], jop.k, trace, threshold)[0]
 
 
-def final_deficits(perm: Permutation, jop: PseudoIdentity, xs) -> np.ndarray:
-    """1 - amp at (f^-1(x), 0) after the last stage of `run_av_inv`, for every
-    x in xs, in natural order.
-
-    M_x is real and orthogonal with M_x u = e_{y*}, y* = f^-1(x), so
-    <y*|M_x v> = <u|v> for every v, and the amplitude is
-    c_{y*} mean(c) + s_{y*} mean(s) = 1 - (|v_{y*} - v̄|^2 + mean_y |v_y - v̄|^2) / 2:
-    the last column of `stage_deficits`, O(2^n) for all x.
-    """
-    _check_operator(perm, jop)
-    ys = perm.inverse_table[_check_values(xs, perm.n)]
-    dc, ds = jop.cosines - jop.cosines.mean(), jop.sines - jop.sines.mean()
-    spread = dc * dc + ds * ds
-    return 0.5 * (spread[ys] + spread.mean())
-
-
 @dataclass(frozen=True)
 class StepwiseReport:
     """Aggregated stage verdicts over every tested x."""
@@ -242,9 +255,8 @@ def run_stepwise_test(
         raise ValueError("a corrupted stage is defined for the exact reflections only")
     xs = _check_values(xs, perm.n)
     check_register_sizes(perm.n, 0 if jop is None else jop.k)
-    vecs = _image_vectors(perm, jop)
-    stages = perm.n // 2
-    stats = [_block_stats(vecs, xs, i) for i in range(stages + 1)]
+    levels = _levels(perm, _vectors(perm, jop))
+    stats = [_at(levels, i, xs) for i in range(perm.n // 2 + 1)]
     deficits = np.stack([0.5 * (spreads + _sq(means - stats[j + 1][0]))
                          for j, (means, spreads) in enumerate(stats[:-1])], axis=1)
     if corrupt_stage is not None:

@@ -79,39 +79,28 @@ class Permutation:
         return f"Permutation(family={self.family!r}, n={self.n}, seed={self.seed})"
 
 
-def _reverse_bits(v: int, n: int) -> int:
-    return int(format(v, f"0{n}b")[::-1], 2)
+def _bits(values, n: int) -> np.ndarray:
+    """(len(values), n) array of each value's n bits, most significant first."""
+    return (np.asarray(values, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def _gf2_rank(rows: list[int], n: int) -> int:
-    rows = [int(r) for r in rows]
-    rank = 0
-    for bit in range(n - 1, -1, -1):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if (rows[i] >> bit) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> bit) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2): each row, reduced by the basis rows in the order they
+    joined (none has an earlier one's leading bit), joins them if nonzero."""
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)  # clears b's leading bit where row has it
+        if row:
+            basis.append(row)
+    return len(basis)
 
 
 def _affine_table(rows: list[int], offset: int, n: int) -> np.ndarray:
-    size = 1 << n
-    out = np.empty(size, dtype=np.int64)
-    for y in range(size):
-        v = 0
-        for i, row in enumerate(rows):
-            bit = ((y & row).bit_count() + (offset >> (n - 1 - i))) & 1
-            v = (v << 1) | bit
-        out[y] = v
-    return out
+    """Image bit i, most significant first, is the parity of y & rows[i] plus
+    bit i of the offset."""
+    planes = (_bits(np.arange(1 << n), n) @ _bits(rows, n).T + _bits([offset], n)) & 1
+    return planes @ (1 << np.arange(n - 1, -1, -1))
 
 
 def _fisher_yates(size: int, seed: int) -> np.ndarray:
@@ -152,7 +141,8 @@ def build_permutation(
     if family == "identity":
         return Permutation(n, np.arange(size), family, None, max_bits)
     if family == "bit-reversal":
-        return Permutation(n, [_reverse_bits(y, n) for y in range(size)], family, None, max_bits)
+        return Permutation(n, _bits(np.arange(size), n) @ (1 << np.arange(n)), family, None,
+                           max_bits)
     if family == "xor-mask":
         if mask is None:
             rng = np.random.default_rng(0 if seed is None else seed)
@@ -164,14 +154,14 @@ def build_permutation(
             rows = [int(r) for r in matrix]
             if len(rows) != n or any(not 0 <= r < size for r in rows):
                 raise ValueError(f"matrix must be {n} row masks in [0, 2^n)")
-            if _gf2_rank(rows, n) != n:
+            if _gf2_rank(rows) != n:
                 raise ValueError("affine matrix is singular over GF(2)")
             c = 0 if offset is None else int(offset)
         else:
             rng = np.random.default_rng(0 if seed is None else seed)
             while True:
                 rows = [int(rng.integers(0, size)) for _ in range(n)]
-                if _gf2_rank(rows, n) == n:
+                if _gf2_rank(rows) == n:
                     break
             c = int(rng.integers(0, size))
         _check_value(c, n)

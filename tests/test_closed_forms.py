@@ -1,10 +1,11 @@
 """Closed-form sweep aggregates and bound checks against the dense simulator.
 
-`final_deficits`, `expected_error_sweep` and the bound checks never build a
+`stage_deficits`, `expected_error_sweep` and the bound checks never build a
 state vector; here they are checked, x by x, against `run_av_inv`, and
 instance by instance against dense signed uniform states moved by J.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from qperminv import (
     run_av_inv,
     sample_xs,
 )
-from qperminv.invert import final_deficits
+from qperminv.invert import stage_deficits
 from qperminv.ops import apply_pseudo_identity
 from qperminv.perm import prefix_members
 from qperminv.qstate import make_signed_uniform
@@ -45,7 +46,7 @@ def test_success_matches_dense_run_for_every_x(n, family):
         for k in (1, 2):
             jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
             runs = [run_av_inv(perm, int(x), jop).success_prob for x in xs]
-            closed = (1.0 - final_deficits(perm, jop, xs)) ** 2
+            closed = (1.0 - stage_deficits(perm, xs, jop, range(n // 2))[:, -1]) ** 2
             assert np.abs(closed - runs).max() <= 1e-12, (bad_mode, angle_mode, k)
 
 
@@ -123,13 +124,30 @@ def test_error_sweep_matches_dense_error_lengths(n, sampled):
                 assert summary.mean_ratio == ratio
 
 
+def test_error_sweep_levels_match_an_fsum_reference():
+    # 2^16 gaps: every level's block sums stay within 1e-15 of math.fsum's
+    n = 16
+    perm = build_permutation("random", n, seed=3)
+    jop = build_pseudo_identity(n, 1, a=1e-8, b=4 / (1 << n), seed=5)
+    gaps = (2.0 - 2.0 * jop.cosines)[perm.inverse_table]  # row v holds y = f^-1(v)
+    for j in range(n // 2 + 1):
+        size = 1 << (n - 2 * j)
+        lengths = [math.sqrt(math.fsum(gaps[lo:lo + size]) / size) for lo in range(0, 1 << n, size)]
+        want = math.fsum(lengths) / len(lengths)  # every block holds 2^(n - 2j) of the x
+        # tagged stages run j = 0 .. n/2 - 1, plain ones j = 1 .. n/2
+        for with_tagged in [True] * (j < n // 2) + [False] * (j > 0):
+            got = expected_error_sweep(perm, jop, j, with_tagged=with_tagged).mean_error_len
+            assert abs(got - want) <= 1e-15 * want, (j, with_tagged)
+
+
 @pytest.mark.parametrize("n", range(2, 17, 2))
 def test_identity_operator_inverts_exactly(n):
     perm = build_permutation("random", n, seed=n)
-    jop = build_pseudo_identity(n, 1)
-    assert np.all(final_deficits(perm, jop, np.arange(1 << n)) == 0.0)
-    summary = inversion_residual_stats(perm, jop, q=2.0)
-    assert np.all(summary.v2_values == 0.0) and summary.mean_success == 1.0
+    # J = I, and a J that rotates every y alike (worst-case angles, no bad set)
+    for jop in (build_pseudo_identity(n, 1), build_pseudo_identity(n, 1, a=1e-6)):
+        assert np.all(stage_deficits(perm, np.arange(1 << n), jop, range(n // 2)) == 0.0)
+        summary = inversion_residual_stats(perm, jop, q=2.0)
+        assert np.all(summary.v2_values == 0.0) and summary.mean_success == 1.0
 
 
 def test_closed_forms_reject_bad_x():
@@ -137,10 +155,10 @@ def test_closed_forms_reject_bad_x():
     jop = build_pseudo_identity(4, 1, a=1e-3, b=1 / 16, seed=2)
     for xs in ([16], [0, 16], [3, -1], []):
         with pytest.raises(ValueError, match="out of range|at least one"):
-            final_deficits(perm, jop, xs)
+            stage_deficits(perm, xs, jop, [1])
         with pytest.raises(ValueError, match="out of range|at least one"):
             inversion_residual_stats(perm, jop, q=2.0, xs=xs)
         with pytest.raises(ValueError, match="out of range|at least one"):
             expected_error_sweep(perm, jop, 1, xs=xs)
     with pytest.raises(ValueError, match="main qubits"):
-        final_deficits(perm, build_pseudo_identity(6, 1), [0])
+        stage_deficits(perm, [0], build_pseudo_identity(6, 1), [1])

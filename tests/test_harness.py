@@ -656,11 +656,17 @@ def test_check_lemmas_oversized_ancilla_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("command", ["run-inv", "run-avinv", "test-stages"])
-def test_negative_k_is_a_usage_error(command, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run-inv", "--k", "-1"], id="run-inv"),
+    pytest.param(["run-avinv", "--k", "-1"], id="run-avinv"),
+    pytest.param(["test-stages", "--k", "-1"], id="test-stages"),
+    # a pseudo-identity needs at least one ancilla qubit
+    pytest.param(["run-avinv", "--k", "0"], id="run-avinv-k0"),
+    pytest.param(["test-stages", "--provider", "pseudo", "--k", "0"], id="test-stages-pseudo-k0"),
+])
+def test_negative_k_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main([command, "--family", "identity", "--n", "4", "--k", "-1",
-                 "--out", str(out)]) == 2
+    assert main([*argv, "--family", "identity", "--n", "4", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")

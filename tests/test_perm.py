@@ -10,7 +10,7 @@ from qperminv import (
     permutation_to_text,
 )
 from qperminv.ops import apply_tagging
-from qperminv.perm import prefix_members
+from qperminv.perm import _gf2_rank, prefix_members
 from qperminv.qstate import StateVector
 
 FAMILY_CASES = [
@@ -72,6 +72,60 @@ def test_affine_explicit_matrix():
     # identity matrix with offset 1 is the xor-mask-1 permutation
     perm = build_permutation("affine-gf2", 2, matrix=[0b10, 0b01], offset=1)
     assert perm.table.tolist() == [1, 0, 3, 2]
+
+
+def _affine_per_bit(rows, offset, n):
+    # the family's definition: one bit count per image bit, most significant first
+    table = []
+    for y in range(1 << n):
+        v = 0
+        for i, row in enumerate(rows):
+            v = (v << 1) | (((y & row).bit_count() + (offset >> (n - 1 - i))) & 1)
+        table.append(v)
+    return np.array(table)
+
+
+def _span_size(rows):
+    span = np.zeros(1, dtype=np.int64)
+    for row in rows:
+        span = np.union1d(span, span ^ row)
+    return span.size
+
+
+def _seeded_affine_draw(n, seed):
+    # the seeded family's draws: n row masks until they span all 2^n values, then the offset
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = [int(rng.integers(0, 1 << n)) for _ in range(n)]
+        if _span_size(rows) == 1 << n:
+            return rows, int(rng.integers(0, 1 << n))
+
+
+def test_gf2_rank_is_the_span_dimension():
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 6, 8):
+        for _ in range(300):
+            # the and of two draws has few bits, so many row sets are dependent
+            rows = (rng.integers(0, 1 << n, size=n) & rng.integers(0, 1 << n, size=n)).tolist()
+            assert 1 << _gf2_rank(rows) == _span_size(rows), rows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_affine_tables_match_the_per_bit_definition(seed):
+    for n in range(2, 17, 2):
+        rows, offset = _seeded_affine_draw(n, seed)
+        perm = build_permutation("affine-gf2", n, seed=seed)
+        assert np.array_equal(perm.table, _affine_per_bit(rows, offset, n)), n
+        # explicit: the same rows in reverse order, the offset's complement
+        offset = (1 << n) - 1 - offset
+        perm = build_permutation("affine-gf2", n, matrix=rows[::-1], offset=offset)
+        assert np.array_equal(perm.table, _affine_per_bit(rows[::-1], offset, n)), n
+
+
+def test_bit_reversal_tables_match_string_reversal():
+    for n in range(2, 17, 2):
+        want = [int(format(y, f"0{n}b")[::-1], 2) for y in range(1 << n)]
+        assert build_permutation("bit-reversal", n).table.tolist() == want, n
 
 
 def test_affine_rejects_singular_matrix():
