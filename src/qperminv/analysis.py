@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .invert import _check_operator, _levels, stage_deficits
+from .invert import _check_operator, _levels, _success_residual, stage_deficits
 from .ops import PseudoIdentity
 from .perm import Permutation, _check_values
 from .qstate import signed_support
@@ -209,9 +209,7 @@ def inversion_residual_stats(
     n = perm.n
     exhaustive = xs is None
     xs = np.arange(perm.size) if exhaustive else xs
-    deficit = stage_deficits(perm, xs, jop, [n // 2 - 1])[:, 0]
-    success = (1.0 - deficit) ** 2
-    v2 = np.sqrt(np.maximum(0.0, deficit * (2.0 - deficit)))
+    success, v2 = _success_residual(stage_deficits(perm, xs, jop, [n // 2 - 1])[:, 0])
     count = v2.size
     mean_v2 = float(v2.mean())
     b_actual = jop.bad_size / perm.size

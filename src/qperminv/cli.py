@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .analysis import compute_params, sample_xs
 from .harness import (
     atomic_write_text,
@@ -87,7 +89,7 @@ def _resolve_perm(args):
 
 def _resolve_xs(selector: str, n: int, master_seed: int):
     if selector == "all":
-        return list(range(1 << n))
+        return np.arange(1 << n)
     if selector.startswith("sample:"):
         try:
             count = int(selector.split(":", 1)[1])
@@ -111,7 +113,7 @@ class UsageError(Exception):
 
 def _resolve_pseudo_identity(args, n: int):
     """Operator from a serialized file when given, else built from the flags."""
-    if getattr(args, "j_file", None):
+    if args.j_file:
         with open(args.j_file, "r", encoding="ascii") as fh:
             jop = parse_pseudo_identity(fh.read())
         if jop.n != n:
@@ -123,6 +125,27 @@ def _resolve_pseudo_identity(args, n: int):
         n, args.k, a=args.a, b=b,
         bad_mode=args.bad_mode, angle_mode=args.angle_mode, seed=j_seed,
     )
+
+
+def _resolve_inputs(args, with_pseudo: bool):
+    """The permutation, xs, operator (None for the exact reflections) and
+    threshold of run-inv, run-avinv and test-stages. A bad flag raises
+    UsageError, bad input ValueError or OSError."""
+    least_k = 1 if with_pseudo else 0  # a pseudo-identity needs an ancilla
+    if args.k < least_k:
+        raise UsageError(f"--k must be at least {least_k}, got {args.k}")
+    if hasattr(args, "workers"):
+        try:
+            resolve_workers(args.workers)  # still validated; closed forms need no fan-out
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    perm = _resolve_perm(args)
+    xs = _resolve_xs(args.x, perm.n, args.master_seed)
+    jop = _resolve_pseudo_identity(args, perm.n) if with_pseudo else None
+    threshold = args.threshold
+    if threshold is None:
+        threshold = EXACT_THRESHOLD if jop is None else PSEUDO_THRESHOLD
+    return perm, xs, jop, threshold
 
 
 def _write_output(command: str, path: str, text: str, config: dict, derived=None) -> int:
@@ -163,38 +186,15 @@ def cmd_gen_perm(args) -> int:
 
 
 def _cmd_run(args, with_pseudo: bool) -> int:
-    least_k = 1 if with_pseudo else 0  # a pseudo-identity needs an ancilla
-    if args.k < least_k:
-        return _usage(f"--k must be at least {least_k}, got {args.k}")
     try:
-        resolve_workers(args.workers)  # still validated; closed forms need no fan-out
-    except ValueError as exc:
-        return _usage(str(exc))
-    try:
-        perm = _resolve_perm(args)
-        xs = _resolve_xs(args.x, perm.n, args.master_seed)
+        perm, xs, jop, threshold = _resolve_inputs(args, with_pseudo)
+        k = args.k if jop is None else jop.k
+        runs = run_batch(perm, jop, xs, k, not args.no_trace, threshold)
     except UsageError as exc:
         return _usage(str(exc))
     except (ValueError, OSError) as exc:
         return _failure(str(exc))
-    jop = None
-    k = args.k
-    threshold = args.threshold
-    if with_pseudo:
-        try:
-            jop = _resolve_pseudo_identity(args, perm.n)
-        except (ValueError, OSError) as exc:
-            return _failure(str(exc))
-        k = jop.k
-        if threshold is None:
-            threshold = PSEUDO_THRESHOLD
-    elif threshold is None:
-        threshold = EXACT_THRESHOLD
-    try:
-        reports = run_batch(perm, jop, xs, k, not args.no_trace, threshold)
-    except ValueError as exc:
-        return _failure(str(exc))
-    csv_text = run_reports_to_csv(perm, jop, reports)
+    csv_text = run_reports_to_csv(perm, jop, runs)
     out_dir = resolve_out_dir(args.out_dir)
     command = "run-avinv" if with_pseudo else "run-inv"
     path = args.out or os.path.join(out_dir, command + ".csv")
@@ -234,38 +234,19 @@ def cmd_check_lemmas(args) -> int:
 
 
 def cmd_test_stages(args) -> int:
-    least_k = 1 if args.provider == "pseudo" else 0
-    if args.k < least_k:
-        return _usage(f"--k must be at least {least_k}, got {args.k}")
     if args.corrupt_stage is not None and args.provider != "corrupted":
         return _usage("--corrupt-stage needs --provider corrupted")
     try:
-        perm = _resolve_perm(args)
-        xs = _resolve_xs(args.x, perm.n, args.master_seed)
+        perm, xs, jop, threshold = _resolve_inputs(args, args.provider == "pseudo")
+        if args.provider == "corrupted":
+            if args.corrupt_stage is None:
+                raise UsageError("--provider corrupted requires --corrupt-stage")
+            if not 0 <= args.corrupt_stage < perm.n // 2:
+                raise UsageError(f"--corrupt-stage out of range [0, {perm.n // 2 - 1}]")
+        report = run_stepwise_test(perm, xs, jop, args.corrupt_stage, threshold)
     except UsageError as exc:
         return _usage(str(exc))
     except (ValueError, OSError) as exc:
-        return _failure(str(exc))
-    threshold = args.threshold
-    jop = corrupt_stage = None
-    if args.provider == "corrupted":
-        if args.corrupt_stage is None:
-            return _usage("--provider corrupted requires --corrupt-stage")
-        if not 0 <= args.corrupt_stage < perm.n // 2:
-            return _usage(f"--corrupt-stage out of range [0, {perm.n // 2 - 1}]")
-        corrupt_stage = args.corrupt_stage
-    elif args.provider == "pseudo":
-        try:
-            jop = _resolve_pseudo_identity(args, perm.n)
-        except (ValueError, OSError) as exc:
-            return _failure(str(exc))
-        if threshold is None:
-            threshold = PSEUDO_THRESHOLD
-    if threshold is None:
-        threshold = EXACT_THRESHOLD
-    try:
-        report = run_stepwise_test(perm, xs, jop, corrupt_stage, threshold)
-    except ValueError as exc:
         return _failure(str(exc))
     payload = {
         "provider": args.provider,

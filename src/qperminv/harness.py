@@ -29,7 +29,7 @@ from .analysis import (
     inversion_residual_stats,
     sample_xs,
 )
-from .invert import RunReport, run_batch  # noqa: F401 (run_batch: the CLI's entry)
+from .invert import Runs, run_batch  # noqa: F401 (run_batch: the CLI's entry)
 from .ops import (
     ANGLE_MODES,
     BAD_MODES,
@@ -129,15 +129,18 @@ def write_manifest(command: str, config_echo: dict, derived_seeds: dict, outputs
     atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def run_reports_to_csv(perm: Permutation, jop: PseudoIdentity | None,
-                       reports: list[RunReport]) -> str:
-    """One row per report, in the given order, after the permutation and
-    operator columns that every row shares (empty for an exact run)."""
+def run_reports_to_csv(perm: Permutation, jop: PseudoIdentity | None, runs: Runs) -> str:
+    """One row per run, in x order, after the permutation and operator columns
+    that every row shares (empty for an exact run); the first failing stage is
+    empty where there is none or the runs are untraced."""
     meta = (None,) * 4 if jop is None else (jop.a, jop.b, jop.bad_size, jop.seed)
     prefix = ",".join(_cell(v) for v in (perm.n, perm.family, perm.seed, *meta))
+    failing = runs.first_failing_stage
+    failing = ([""] * runs.x.size if failing is None
+               else np.where(failing < 0, "", failing.astype(str)).tolist())
     lines = [",".join(RUN_CSV_COLUMNS)]
-    lines.extend(f"{prefix},{r.x},{fmt17(r.success_prob)},{fmt17(r.v2_norm)},"
-                 f"{_cell(r.first_failing_stage)}" for r in reports)
+    lines.extend(f"{prefix},{x},{s:.17g},{v:.17g},{f}" for x, s, v, f in zip(
+        runs.x.tolist(), runs.success_prob.tolist(), runs.v2_norm.tolist(), failing))
     return "\n".join(lines) + "\n"
 
 

@@ -52,26 +52,6 @@ def expected_state_after_reflect(perm: Permutation, x: int, j: int, k: int = 0) 
     return make_signed_uniform(prefix_members(perm, x, 2 * j + 2), k=k, n=perm.n)
 
 
-@dataclass(frozen=True)
-class StageTrace:
-    """Per-stage distances to the closed-form oracles along a run."""
-
-    dist_after_tag: tuple[float, ...]
-    dist_after_reflect: tuple[float, ...]
-    stage_fidelity: tuple[float, ...]
-
-
-@dataclass(eq=False)
-class RunReport:
-    """Outcome of one inversion run for a single conditioning value x."""
-
-    x: int
-    success_prob: float
-    v2_norm: float
-    trace: StageTrace | None = None
-    first_failing_stage: int | None = None
-
-
 # The closed forms work with the unit vectors v_y = c_y + i s_y of the
 # pseudo-identity's rotations (all 1 for the exact reflections) in image
 # order: row v holds y = f^-1(v). There the stage-i set of x, the y whose f(y)
@@ -158,53 +138,67 @@ def stage_deficits(perm: Permutation, xs, jop: PseudoIdentity | None, stages) ->
     return np.stack(columns, axis=1)
 
 
-def _first_failing(fidelity: np.ndarray, threshold: float) -> list[int | None]:
-    """Each row's first stage whose fidelity is not at or above the threshold."""
-    failing = ~(fidelity >= threshold)
-    firsts = np.where(failing.any(axis=1), failing.argmax(axis=1), -1).tolist()
-    return [j if j >= 0 else None for j in firsts]
+def _success_residual(last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Success amp^2 and residual sqrt(1 - amp^2) = sqrt(d (2 - d)) from the
+    last stage's deficit d = 1 - amp, read without cancellation."""
+    return (1.0 - last) ** 2, np.sqrt(np.maximum(0.0, last * (2.0 - last)))
+
+
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """Inversion runs as columns, one row per x in ascending x.
+
+    deficits holds `stage_deficits` for every stage when traced, else for the
+    last; first_failing_stage is -1 where every stage passes, and None when
+    untraced."""
+
+    x: np.ndarray
+    success_prob: np.ndarray
+    v2_norm: np.ndarray
+    deficits: np.ndarray
+    first_failing_stage: np.ndarray | None
 
 
 def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: bool,
-              threshold: float) -> list[RunReport]:
-    """One report per x, in ascending x, from `stage_deficits`: every stage
-    when traced, else only the last.
+              threshold: float) -> Runs:
+    """The runs of every x in xs, read from `stage_deficits`.
 
     Oracle and state are unit vectors with a real overlap amp, so the fidelity
     is amp^2 and the distance after stage j's reflection is sqrt(2 (1 - amp)).
     The tag is unitary and maps the previous oracle onto the tag oracle, so the
     distance after a tag is the one after the previous reflection (0 first).
-    The last oracle is the basis state (f^-1(x), 0): success is amp^2 there and
-    the residual sqrt(1 - amp^2) = sqrt(d (2 - d)), with d = 1 - amp. A traced
-    run's first failing stage is its first with fidelity below the threshold.
+    The last oracle is the basis state (f^-1(x), 0), so success and residual
+    follow from the last deficit. A traced run's first failing stage is its
+    first with fidelity below the threshold.
     """
     check_register_sizes(perm.n, k)
     xs = np.sort(_check_values(xs, perm.n))
     deficits = stage_deficits(perm, xs, jop, range(perm.n // 2) if trace else [perm.n // 2 - 1])
-    last = deficits[:, -1]
-    success = ((1.0 - last) ** 2).tolist()
-    v2 = np.sqrt(np.maximum(0.0, last * (2.0 - last))).tolist()
-    traces = first_failing = [None] * xs.size
+    first_failing = None
     if trace:
-        fidelity = (1.0 - deficits) ** 2
-        dist = np.sqrt(2.0 * deficits)
-        rows = zip(np.pad(dist[:, :-1], ((0, 0), (1, 0))).tolist(), dist.tolist(),
-                   fidelity.tolist())
-        traces = [StageTrace(tuple(t), tuple(r), tuple(f)) for t, r, f in rows]
-        first_failing = _first_failing(fidelity, threshold)
-    return [RunReport(*row) for row in zip(xs.tolist(), success, v2, traces, first_failing)]
+        failing = ~((1.0 - deficits) ** 2 >= threshold)
+        first_failing = np.where(failing.any(axis=1), failing.argmax(axis=1), -1)
+    return Runs(xs, *_success_residual(deficits[:, -1]), deficits, first_failing)
 
 
-def run_inv(
-    perm: Permutation,
-    x: int,
-    k: int = 0,
-    trace: bool = False,
-    threshold: float = EXACT_THRESHOLD,
-) -> RunReport:
-    """Exact staged inversion of x; success probability is read off the basis
-    state (f^-1(x), 0)."""
-    return run_batch(perm, None, [x], k, trace, threshold)[0]
+@dataclass(frozen=True)
+class StageTrace:
+    """Per-stage distances to the closed-form oracles along one run."""
+
+    dist_after_tag: tuple[float, ...]
+    dist_after_reflect: tuple[float, ...]
+    stage_fidelity: tuple[float, ...]
+
+
+@dataclass(eq=False)
+class RunReport:
+    """One row of `Runs` as a record, with its trace when traced."""
+
+    x: int
+    success_prob: float
+    v2_norm: float
+    trace: StageTrace | None
+    first_failing_stage: int | None
 
 
 def run_av_inv(
@@ -214,9 +208,18 @@ def run_av_inv(
     trace: bool = False,
     threshold: float = PSEUDO_THRESHOLD,
 ) -> RunReport:
-    """Error-tolerant staged inversion: the exact reflection is replaced by
-    its conjugation under the pseudo-identity."""
-    return run_batch(perm, jop, [x], jop.k, trace, threshold)[0]
+    """Error-tolerant staged inversion of one x: the exact reflection is
+    replaced by its conjugation under the pseudo-identity."""
+    runs = run_batch(perm, jop, [x], jop.k, trace, threshold)
+    stages = first_failing = None
+    if trace:
+        deficits = runs.deficits[0]
+        dist = np.sqrt(2.0 * deficits)
+        stages = StageTrace(tuple(np.pad(dist[:-1], (1, 0)).tolist()), tuple(dist.tolist()),
+                            tuple(((1.0 - deficits) ** 2).tolist()))
+        first_failing = int(runs.first_failing_stage[0])
+    return RunReport(int(runs.x[0]), float(runs.success_prob[0]), float(runs.v2_norm[0]), stages,
+                     None if first_failing == -1 else first_failing)
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,6 @@ class StepwiseReport:
     stage_min_fidelity: tuple[float, ...]
     stage_pass: tuple[bool, ...]
     first_failing_stage: int | None
-    per_x_first_failing: tuple[int | None, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -266,5 +268,4 @@ def run_stepwise_test(
     min_fid = tuple(np.min(fidelity, axis=0, initial=1.0).tolist())
     stage_pass = tuple(f >= threshold for f in min_fid)
     first_failing = next((j for j, ok in enumerate(stage_pass) if not ok), None)
-    return StepwiseReport(min_fid, stage_pass, first_failing,
-                          tuple(_first_failing(fidelity, threshold)))
+    return StepwiseReport(min_fid, stage_pass, first_failing)

@@ -161,7 +161,7 @@ def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a, starts=(0,)) -> np
 
 
 def _draw_operator(n: int, a: float, b: float, bad_mode: str, angle_mode: str,
-                   seed: int | None, explicit_bad_set=None) -> tuple[np.ndarray, np.ndarray]:
+                   seed: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The sorted bad set and the cosines of `build_pseudo_identity`, drawn from
     one generator seeded with `seed` (0 when None). Worst-case angles on an
     empty bad set draw nothing, so no generator is made."""
@@ -169,17 +169,10 @@ def _draw_operator(n: int, a: float, b: float, bad_mode: str, angle_mode: str,
         raise ValueError(f"operator seed must be non-negative, got {seed}")
     size = 1 << n
     capacity = bad_set_capacity(n, b)
-    if explicit_bad_set is not None:
-        bad = support_members(explicit_bad_set)
-        if bad.size > capacity:
-            raise ValueError(f"explicit bad set of size {bad.size} exceeds floor(b * 2^n) = {capacity}")
-    else:
-        bad = None if capacity else np.empty(0, dtype=np.int64)
-    if angle_mode == "worst-case" and bad is not None and not bad.size:
-        return bad, np.full(size, 1.0 - a, dtype=np.float64)
+    if angle_mode == "worst-case" and not capacity:
+        return np.empty(0, dtype=np.int64), np.full(size, 1.0 - a, dtype=np.float64)
     rng = np.random.default_rng(0 if seed is None else seed)
-    if explicit_bad_set is None:
-        bad = np.sort(rng.permutation(size)[:capacity]).astype(np.int64)
+    bad = np.sort(rng.permutation(size)[:capacity]).astype(np.int64)
     if angle_mode == "worst-case":
         cosines = np.full(size, 1.0 - a, dtype=np.float64)
     else:
@@ -199,20 +192,19 @@ def build_pseudo_identity(
     b: float = 0.0,
     bad_mode: str = "full-rotation",
     angle_mode: str = "worst-case",
-    explicit_bad_set=None,
     seed: int | None = None,
 ) -> PseudoIdentity:
     """Construct a pseudo-identity with the requested defect parameters.
 
-    The bad set is either explicit or the first floor(b * 2^n) entries of a
-    seeded shuffle of [0, 2^n) (so equal seeds give nested sets across sizes).
-    worst-case angles pin good cosines at 1 - a; random draws them uniformly
-    from [1 - a, 1]. full-rotation bad states get cosine 0 (|z,0> -> |z,1>);
-    random-angle draws bad cosines uniformly from [-1, 1].
+    The bad set is the first floor(b * 2^n) entries of a seeded shuffle of
+    [0, 2^n) (so equal seeds give nested sets across sizes). worst-case angles
+    pin good cosines at 1 - a; random draws them uniformly from [1 - a, 1].
+    full-rotation bad states get cosine 0 (|z,0> -> |z,1>); random-angle draws
+    bad cosines uniformly from [-1, 1].
     """
     if n < 1:
         raise ValueError(f"main register needs at least 1 qubit, got {n}")
-    bad, cosines = _draw_operator(n, a, b, bad_mode, angle_mode, seed, explicit_bad_set)
+    bad, cosines = _draw_operator(n, a, b, bad_mode, angle_mode, seed)
     return PseudoIdentity(n, k, a, b, bad, cosines, bad_mode, angle_mode, seed)
 
 

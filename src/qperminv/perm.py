@@ -13,11 +13,11 @@ DEFAULT_MAX_BITS = 16
 FAMILIES = ("identity", "bit-reversal", "xor-mask", "affine-gf2", "random", "from-table")
 
 
-def _check_bits(n: int, max_bits: int) -> None:
+def _check_bits(n: int) -> None:
     if n < 2 or n % 2 != 0:
         raise ValueError(f"bit length must be an even integer >= 2, got {n}")
-    if n > max_bits:
-        raise ValueError(f"bit length {n} exceeds the cap of {max_bits}")
+    if n > DEFAULT_MAX_BITS:
+        raise ValueError(f"bit length {n} exceeds the cap of {DEFAULT_MAX_BITS}")
 
 
 def _check_value(v: int, n: int) -> None:
@@ -40,15 +40,8 @@ class Permutation:
 
     __slots__ = ("n", "table", "inverse_table", "family", "seed")
 
-    def __init__(
-        self,
-        n: int,
-        table,
-        family: str = "from-table",
-        seed: int | None = None,
-        max_bits: int = DEFAULT_MAX_BITS,
-    ):
-        _check_bits(n, max_bits)
+    def __init__(self, n: int, table, family: str = "from-table", seed: int | None = None):
+        _check_bits(n)
         table = np.array(table, dtype=np.int64)
         size = 1 << n
         if table.shape != (size,):
@@ -124,7 +117,6 @@ def build_permutation(
     matrix: list[int] | None = None,
     offset: int | None = None,
     table=None,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> Permutation:
     """Construct a permutation from one of the built-in families.
 
@@ -136,19 +128,18 @@ def build_permutation(
     random         seeded Fisher-Yates shuffle
     from-table     explicit table, validated
     """
-    _check_bits(n, max_bits)
+    _check_bits(n)
     size = 1 << n
     if family == "identity":
-        return Permutation(n, np.arange(size), family, None, max_bits)
+        return Permutation(n, np.arange(size), family)
     if family == "bit-reversal":
-        return Permutation(n, _bits(np.arange(size), n) @ (1 << np.arange(n)), family, None,
-                           max_bits)
+        return Permutation(n, _bits(np.arange(size), n) @ (1 << np.arange(n)), family)
     if family == "xor-mask":
         if mask is None:
             rng = np.random.default_rng(0 if seed is None else seed)
             mask = int(rng.integers(0, size))
         _check_value(mask, n)
-        return Permutation(n, np.arange(size) ^ mask, family, seed, max_bits)
+        return Permutation(n, np.arange(size) ^ mask, family, seed)
     if family == "affine-gf2":
         if matrix is not None:
             rows = [int(r) for r in matrix]
@@ -165,13 +156,13 @@ def build_permutation(
                     break
             c = int(rng.integers(0, size))
         _check_value(c, n)
-        return Permutation(n, _affine_table(rows, c, n), family, seed, max_bits)
+        return Permutation(n, _affine_table(rows, c, n), family, seed)
     if family == "random":
-        return Permutation(n, _fisher_yates(size, 0 if seed is None else seed), family, seed, max_bits)
+        return Permutation(n, _fisher_yates(size, 0 if seed is None else seed), family, seed)
     if family == "from-table":
         if table is None:
             raise ValueError("from-table requires an explicit table")
-        return Permutation(n, table, family, seed, max_bits)
+        return Permutation(n, table, family, seed)
     raise ValueError(f"unknown permutation family {family!r}")
 
 
@@ -196,7 +187,7 @@ def permutation_to_text(perm: Permutation) -> str:
     return "\n".join([f"n={perm.n}", *map(str, perm.table.tolist())]) + "\n"
 
 
-def permutation_from_text(text: str, max_bits: int = DEFAULT_MAX_BITS) -> Permutation:
+def permutation_from_text(text: str) -> Permutation:
     if not text.endswith("\n"):
         raise ValueError("permutation file must end with a newline")
     if not text.isascii():  # numpy's reader mishandles some other code points
@@ -212,14 +203,14 @@ def permutation_from_text(text: str, max_bits: int = DEFAULT_MAX_BITS) -> Permut
         n = int(lines[0][2:])
     except ValueError as exc:
         raise ValueError("permutation file must start with 'n=<int>'") from exc
-    _check_bits(n, max_bits)
+    _check_bits(n)
     size = 1 << n
     if len(lines) != size + 1:
         raise ValueError(f"expected {size} table rows, found {len(lines) - 1}")
     table = _read_rows(lines[1:], np.int64, "table rows must be decimal integers, one per line")
     if table.min() < 0 or table.max() >= size:
         raise ValueError("table entry out of range")
-    return Permutation(n, table, "from-table", None, max_bits)
+    return Permutation(n, table)
 
 
 def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
@@ -237,6 +228,6 @@ def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
     return records
 
 
-def load_permutation(path, max_bits: int = DEFAULT_MAX_BITS) -> Permutation:
+def load_permutation(path) -> Permutation:
     with open(path, "r", encoding="ascii", newline="") as fh:
-        return permutation_from_text(fh.read(), max_bits)
+        return permutation_from_text(fh.read())

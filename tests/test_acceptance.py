@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from qperminv import (
+    EXACT_THRESHOLD,
     build_permutation,
     build_pseudo_identity,
     check_error_length_bound,
@@ -16,7 +17,7 @@ from qperminv import (
     contradiction_check,
     expected_error_sweep,
     inversion_residual_stats,
-    run_inv,
+    run_batch,
     run_stepwise_test,
 )
 from qperminv.cli import main
@@ -47,11 +48,15 @@ def test_criterion_1_exact_inversion_with_stage_oracles():
     ok = True
     for n in (2, 4, 6, 8, 10):
         for perm in family_instances(n):
-            for x in range(perm.size):
-                report = run_inv(perm, x, trace=True)
-                ok = ok and report.success_prob >= 1.0 - 1e-9
-                ok = ok and max(report.trace.dist_after_tag) <= 1e-9
-                ok = ok and max(report.trace.dist_after_reflect) <= 1e-9
+            # every x in one batch: the distance after stage j's reflection is
+            # sqrt(2 d_j), after its tag the one after the previous reflection
+            runs = run_batch(perm, None, range(perm.size), 0, True, EXACT_THRESHOLD)
+            after_reflect = np.sqrt(2.0 * runs.deficits)
+            after_tag = np.pad(after_reflect[:, :-1], ((0, 0), (1, 0)))
+            ok = ok and runs.x.tolist() == list(range(perm.size))
+            ok = ok and runs.success_prob.min() >= 1.0 - 1e-9
+            ok = ok and after_tag.max() <= 1e-9
+            ok = ok and after_reflect.max() <= 1e-9
     record("1 exact inversion, all families, exhaustive x", ok)
 
 
@@ -180,7 +185,8 @@ def test_criterion_8_stepwise_harness(capsys):
     for corrupt in (0, 1, 2, 3):
         report = run_stepwise_test(perm, range(256), corrupt_stage=corrupt)
         ok = ok and report.first_failing_stage == corrupt
-        ok = ok and set(report.per_x_first_failing) == {corrupt}
+        ok = ok and all(run_stepwise_test(perm, [x], corrupt_stage=corrupt).first_failing_stage
+                        == corrupt for x in range(256))
     # exit codes through the CLI
     ok = ok and main(["test-stages", "--family", "random", "--n", "8", "--seed", "7",
                       "--x", "sample:8"]) == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qperminv import (
+    PseudoIdentity,
     build_permutation,
     build_pseudo_identity,
     check_error_length_bound,
@@ -20,6 +21,7 @@ from qperminv import (
     inversion_residual_stats,
     sample_xs,
 )
+from qperminv.ops import _implied_cosines
 from qperminv.perm import prefix_members
 
 
@@ -46,7 +48,7 @@ def test_error_length_zero_for_trivial_operator():
 
 
 def test_error_length_singleton_bad_support():
-    jop = build_pseudo_identity(4, 1, a=0.0, b=1 / 16, explicit_bad_set=[6])
+    jop = PseudoIdentity(4, 1, 0.0, 1 / 16, [6], _implied_cosines(4, 0.0, [6]))
     assert error_length(jop, {6}) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
@@ -80,7 +82,7 @@ def test_error_length_bound_trivial_and_singleton():
     trivial = build_pseudo_identity(4, 1)
     rep = check_error_length_bound(trivial, range(16))
     assert rep.measured == 0.0 and rep.bound == 0.0 and rep.passed
-    jop = build_pseudo_identity(4, 1, a=0.0, b=1 / 16, explicit_bad_set=[6])
+    jop = PseudoIdentity(4, 1, 0.0, 1 / 16, [6], _implied_cosines(4, 0.0, [6]))
     rep = check_error_length_bound(jop, {6})
     assert rep.measured == pytest.approx(math.sqrt(2), abs=1e-12)
     assert rep.bound == pytest.approx(2.0, abs=1e-12)
@@ -99,7 +101,7 @@ def test_residual_bound_cases_and_suite():
     rep = check_residual_bound(trivial, range(16), [1])
     assert rep.alpha == pytest.approx(1.0, abs=1e-12)
     assert rep.perp_norm == 0.0
-    jop = build_pseudo_identity(4, 1, a=0.0, b=1 / 16, explicit_bad_set=[6])
+    jop = PseudoIdentity(4, 1, 0.0, 1 / 16, [6], _implied_cosines(4, 0.0, [6]))
     rep = check_residual_bound(jop, {6})
     assert abs(rep.alpha) <= 1e-12
     assert rep.perp_norm == pytest.approx(1.0, abs=1e-12)
@@ -120,7 +122,7 @@ def test_expected_error_sweep_trivial_operator():
 
 def test_expected_error_sweep_ratio_identity_small_case():
     perm = build_permutation("random", 4, seed=5)
-    jop = build_pseudo_identity(4, 1, a=0.0, b=3 / 16, explicit_bad_set=[1, 7, 12])
+    jop = PseudoIdentity(4, 1, 0.0, 3 / 16, [1, 7, 12], _implied_cosines(4, 0.0, [1, 7, 12]))
     summary = expected_error_sweep(perm, jop, 1)
     assert summary.mean_ratio == Fraction(3, 16)
     assert summary.expected_ratio == Fraction(3, 16)

@@ -10,7 +10,7 @@ PUBLIC = {
     "permutation_from_text", "permutation_to_text",
     "PseudoIdentity", "build_pseudo_identity", "parse_pseudo_identity",
     "serialize_pseudo_identity",
-    "EXACT_THRESHOLD", "PSEUDO_THRESHOLD", "run_av_inv", "run_inv", "run_stepwise_test",
+    "EXACT_THRESHOLD", "PSEUDO_THRESHOLD", "run_stepwise_test",
     "check_error_length_bound", "check_residual_bound", "compute_params",
     "contradiction_check", "error_length", "expected_error_sweep",
     "inversion_residual_stats", "sample_xs",

@@ -19,10 +19,9 @@ from qperminv import (
     error_length,
     expected_error_sweep,
     inversion_residual_stats,
-    run_av_inv,
     sample_xs,
 )
-from qperminv.invert import stage_deficits
+from qperminv.invert import run_av_inv, stage_deficits
 from qperminv.ops import apply_pseudo_identity
 from qperminv.perm import prefix_members
 from qperminv.qstate import make_signed_uniform

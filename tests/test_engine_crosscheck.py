@@ -11,11 +11,10 @@ import pytest
 
 from qperminv import (
     EXACT_THRESHOLD,
+    PSEUDO_THRESHOLD,
     build_permutation,
     build_pseudo_identity,
-    run_av_inv,
     run_batch,
-    run_inv,
     run_stepwise_test,
 )
 from qperminv.invert import expected_state_after_reflect, expected_state_after_tag, initial_state
@@ -77,30 +76,35 @@ def _dense_stage_fidelity(perm, x, j, k, jop=None, corrupt=None):
     return abs(expected_state_after_reflect(perm, x, j, k).inner(state)) ** 2
 
 
-def _assert_run_matches(report, dense):
-    success, v2, rows = dense
-    assert abs(report.success_prob - success) <= TOL
-    assert abs(report.v2_norm - v2) <= TOL
-    trace = report.trace
-    for got, want in zip((trace.dist_after_tag, trace.dist_after_reflect, trace.stage_fidelity),
-                         rows):
-        assert len(got) == len(want)
-        assert np.abs(np.subtract(got, want)).max() <= TOL
+def _assert_runs_match(runs, dense_run):
+    """Each traced run against the dense loop for its x: the distance after
+    stage j's reflection is sqrt(2 d_j), after its tag the one after the
+    previous reflection (0 first), and the fidelity (1 - d_j)^2."""
+    after_reflect = np.sqrt(2.0 * runs.deficits)
+    after_tag = np.pad(after_reflect[:, :-1], ((0, 0), (1, 0)))
+    fidelity = (1.0 - runs.deficits) ** 2
+    for i, x in enumerate(runs.x.tolist()):
+        success, v2, rows = dense_run(x)
+        assert abs(runs.success_prob[i] - success) <= TOL
+        assert abs(runs.v2_norm[i] - v2) <= TOL
+        for got, want in zip((after_tag[i], after_reflect[i], fidelity[i]), rows):
+            assert len(got) == len(want)
+            assert np.abs(np.subtract(got, want)).max() <= TOL
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_runs_match_dense_reference(n, family):
     perm = build_permutation(family, n, seed=n + 3)
-    for x in _xs(n):
-        for k in (0, 1, 2):
-            report = run_inv(perm, x, k=k, trace=True)
-            _assert_run_matches(report, _dense_run(perm, x, k))
-        for bad_mode, angle_mode in MODE_PAIRS:
-            for k in (1, 2):
-                jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
-                report = run_av_inv(perm, x, jop, trace=True)
-                _assert_run_matches(report, _dense_run(perm, x, k, jop))
+    xs = list(_xs(n))
+    for k in (0, 1, 2):
+        runs = run_batch(perm, None, xs, k, True, EXACT_THRESHOLD)
+        _assert_runs_match(runs, lambda x: _dense_run(perm, x, k))
+    for bad_mode, angle_mode in MODE_PAIRS:
+        for k in (1, 2):
+            jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
+            runs = run_batch(perm, jop, xs, k, True, PSEUDO_THRESHOLD)
+            _assert_runs_match(runs, lambda x: _dense_run(perm, x, k, jop))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -111,10 +115,9 @@ def test_batch_matches_dense_reference(n, family):
     xs = list(_xs(n))
     for bad_mode, angle_mode in MODE_PAIRS:
         jop = _operator(n, 1, bad_mode, angle_mode, seed=7 * n + 1)
-        reports = run_batch(perm, jop, xs[::-1], 1, True, 0.99)
-        assert [r.x for r in reports] == xs
-        for x, report in zip(xs, reports):
-            _assert_run_matches(report, _dense_run(perm, x, 1, jop))
+        runs = run_batch(perm, jop, xs[::-1], 1, True, 0.99)
+        assert runs.x.tolist() == xs
+        _assert_runs_match(runs, lambda x: _dense_run(perm, x, 1, jop))
 
 
 def _assert_stepwise_matches(perm, fidelity, jop=None, corrupt_stage=None):
@@ -123,7 +126,7 @@ def _assert_stepwise_matches(perm, fidelity, jop=None, corrupt_stage=None):
         want = [fidelity(x, j) for j in range(perm.n // 2)]
         assert np.abs(np.subtract(report.stage_min_fidelity, want)).max() <= TOL
         failing = [j for j, f in enumerate(want) if f < EXACT_THRESHOLD]
-        assert report.per_x_first_failing == ((failing[0] if failing else None),)
+        assert report.first_failing_stage == (failing[0] if failing else None)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -8,16 +8,23 @@ import numpy as np
 import pytest
 
 from qperminv import (
+    EXACT_THRESHOLD,
+    PSEUDO_THRESHOLD,
     build_permutation,
     build_pseudo_identity,
-    run_av_inv,
-    run_inv,
+    run_batch,
     run_stepwise_test,
 )
 from qperminv.harness import run_reports_to_csv
-from qperminv.invert import expected_state_after_reflect, expected_state_after_tag, initial_state
+from qperminv.invert import (
+    expected_state_after_reflect,
+    expected_state_after_tag,
+    initial_state,
+    run_av_inv,
+)
 from qperminv.ops import (
     PseudoIdentity,
+    _implied_cosines,
     apply_pseudo_reflection,
     apply_reflection_exact,
     apply_tagging,
@@ -86,34 +93,41 @@ def _dense_final_state(perm, x, k, jop=None):
     return state
 
 
+def _exact_runs(perm, xs, k=0, trace=False):
+    return run_batch(perm, None, xs, k, trace, EXACT_THRESHOLD)
+
+
 def test_run_inv_identity_n2():
     perm = build_permutation("identity", 2)
-    report = run_inv(perm, 3, trace=True)
-    assert report.success_prob == 1.0
-    assert report.v2_norm == 0.0
+    runs = _exact_runs(perm, [3], trace=True)
+    assert runs.success_prob.tolist() == [1.0]
+    assert runs.v2_norm.tolist() == [0.0]
     assert _dense_final_state(perm, 3, 0).amps.tolist() == [0.0, 0.0, 0.0, 1.0]
-    assert report.first_failing_stage is None
+    assert runs.first_failing_stage.tolist() == [-1]
 
 
 @pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
 def test_run_inv_exhaustive_n6(family, kwargs):
+    # the distance after stage j's reflection is sqrt(2 d_j), and after its
+    # tag the one after the previous reflection (0 first)
     perm = build_permutation(family, 6, **kwargs)
-    for x in range(64):
-        report = run_inv(perm, x, trace=True)
-        assert report.success_prob >= 1.0 - 1e-9
-        assert max(report.trace.dist_after_tag) <= 1e-9
-        assert max(report.trace.dist_after_reflect) <= 1e-9
+    runs = _exact_runs(perm, range(64), trace=True)
+    assert runs.x.tolist() == list(range(64))
+    assert runs.success_prob.min() >= 1.0 - 1e-9
+    after_reflect = np.sqrt(2.0 * runs.deficits)
+    after_tag = np.pad(after_reflect[:, :-1], ((0, 0), (1, 0)))
+    assert after_tag.max() <= 1e-9
+    assert after_reflect.max() <= 1e-9
 
 
 def test_run_inv_random_n8_all_targets():
     perm = build_permutation("random", 8, seed=7)
-    assert all(run_inv(perm, x).success_prob >= 1.0 - 1e-9 for x in range(256))
+    assert _exact_runs(perm, range(256)).success_prob.min() >= 1.0 - 1e-9
 
 
 def test_run_inv_spot_check_n12():
     perm = build_permutation("random", 12, seed=2)
-    for x in (0, 1111, 2500, 4095):
-        assert run_inv(perm, x).success_prob >= 1.0 - 1e-9
+    assert _exact_runs(perm, (0, 1111, 2500, 4095)).success_prob.min() >= 1.0 - 1e-9
 
 
 def test_amplitude_law_between_stages():
@@ -134,18 +148,18 @@ def test_amplitude_law_between_stages():
 def test_run_av_inv_trivial_operator_matches_exact():
     perm = build_permutation("random", 6, seed=9)
     jop = build_pseudo_identity(6, 1, a=0.0, b=0.0)
-    for x in (0, 17, 63):
-        exact = run_inv(perm, x, k=1)
+    exact = _exact_runs(perm, (0, 17, 63), k=1)
+    for x, success in zip(exact.x.tolist(), exact.success_prob.tolist()):
         approx = run_av_inv(perm, x, jop)
         assert approx.v2_norm <= 1e-9
-        assert approx.success_prob == pytest.approx(exact.success_prob, abs=1e-12)
+        assert approx.success_prob == pytest.approx(success, abs=1e-12)
 
 
 def test_run_av_inv_hand_computed_displaced_target():
     # single stage, target state 3 fully rotated into the ancilla before the
     # reflection: final amplitudes (1/4, 1/4, 1/4, 1/4 | -1/4, -1/4, -1/4, -3/4)
     perm = build_permutation("identity", 2)
-    jop = build_pseudo_identity(2, 1, a=0.0, b=0.25, explicit_bad_set=[3])
+    jop = PseudoIdentity(2, 1, 0.0, 0.25, [3], _implied_cosines(2, 0.0, [3]))
     report = run_av_inv(perm, 3, jop)
     assert report.success_prob == 0.0625
     grid = _dense_final_state(perm, 3, 1, jop).grid()
@@ -156,7 +170,7 @@ def test_run_av_inv_hand_computed_displaced_target():
 def test_run_av_inv_hand_computed_displaced_bystander():
     # single stage, bystander 0 displaced: final (-1/4, -1/4, -1/4, 3/4 | -1/4, 1/4, 1/4, 1/4)
     perm = build_permutation("identity", 2)
-    jop = build_pseudo_identity(2, 1, a=0.0, b=0.25, explicit_bad_set=[0])
+    jop = PseudoIdentity(2, 1, 0.0, 0.25, [0], _implied_cosines(2, 0.0, [0]))
     report = run_av_inv(perm, 3, jop)
     assert report.success_prob == 0.5625
     grid = _dense_final_state(perm, 3, 1, jop).grid()
@@ -167,7 +181,7 @@ def test_run_av_inv_hand_computed_displaced_bystander():
 def test_run_av_inv_displaced_target_degrades_n6():
     perm = build_permutation("random", 6, seed=3)
     x = 19
-    jop = build_pseudo_identity(6, 1, a=0.0, b=1 / 64, explicit_bad_set=[perm.inverse(x)])
+    jop = PseudoIdentity(6, 1, 0.0, 1 / 64, [perm.inverse(x)], _implied_cosines(6, 0.0, [perm.inverse(x)]))
     assert run_av_inv(perm, x, jop).success_prob < 1.0 - 1e-3
 
 
@@ -175,7 +189,7 @@ def test_run_av_inv_empty_bad_set_is_exact_despite_budget():
     # a positive bad-fraction budget with no actual bad state leaves every
     # stage subspace untouched
     perm = build_permutation("random", 6, seed=5)
-    jop = build_pseudo_identity(6, 1, a=0.0, b=0.25, explicit_bad_set=[])
+    jop = PseudoIdentity(6, 1, 0.0, 0.25, [], _implied_cosines(6, 0.0, []))
     for x in (0, 21, 63):
         assert run_av_inv(perm, x, jop).v2_norm <= 1e-9
 
@@ -188,10 +202,10 @@ def test_residual_is_summed_off_the_target():
     perm = build_permutation("random", 8, seed=1)
     for cosine in (0.27, 0.73, 0.94):
         jop = PseudoIdentity(8, 1, 1.0, 0.0, [], np.full(256, cosine))
-        reports = [run_av_inv(perm, x, jop) for x in range(256)]
-        assert all(r.success_prob == 1.0 for r in reports)
-        assert max(r.v2_norm for r in reports) <= 1e-12
-        assert all(abs(r.success_prob + r.v2_norm**2 - 1.0) <= 1e-12 for r in reports)
+        runs = run_batch(perm, jop, range(256), 1, False, PSEUDO_THRESHOLD)
+        assert np.all(runs.success_prob == 1.0)
+        assert runs.v2_norm.max() <= 1e-12
+        assert np.abs(runs.success_prob + runs.v2_norm**2 - 1.0).max() <= 1e-12
 
 
 def test_trace_distances_vanish_on_one_rotation_operators():
@@ -201,9 +215,9 @@ def test_trace_distances_vanish_on_one_rotation_operators():
     perm = build_permutation("random", 8, seed=1)
     for cosine in (0.27, 0.73, 0.94):
         jop = PseudoIdentity(8, 1, 1.0, 0.0, [], np.full(256, cosine))
-        for x in range(256):
-            trace = run_av_inv(perm, x, jop, trace=True).trace
-            assert max(trace.dist_after_tag + trace.dist_after_reflect) <= 1e-12
+        # the tag distances are 0 and the reflection distances of earlier stages
+        runs = run_batch(perm, jop, range(256), 1, True, PSEUDO_THRESHOLD)
+        assert np.sqrt(2.0 * runs.deficits).max() <= 1e-12
 
 
 def test_run_report_metadata():
@@ -211,10 +225,38 @@ def test_run_report_metadata():
     # and stay empty for an exact run
     perm = build_permutation("random", 4, seed=6)
     jop = build_pseudo_identity(4, 1, a=0.0, b=0.25, seed=8)
-    row = run_reports_to_csv(perm, jop, [run_av_inv(perm, 2, jop)]).splitlines()[1]
+    runs = run_batch(perm, jop, [2], 1, False, PSEUDO_THRESHOLD)
+    row = run_reports_to_csv(perm, jop, runs).splitlines()[1]
     assert row.split(",")[:8] == ["4", "random", "6", "0", "0.25", "4", "8", "2"]
-    exact = run_reports_to_csv(perm, None, [run_inv(perm, 2)]).splitlines()[1]
+    exact = run_reports_to_csv(perm, None, _exact_runs(perm, [2])).splitlines()[1]
     assert exact.split(",")[:8] == ["4", "random", "6", "", "", "", "", "2"]
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("family,kwargs", FAMILY_CASES)
+def test_run_csv_rows_match_single_x_runs(family, kwargs, trace):
+    # the columns of one batch over every x format to the rows of one-x
+    # batches, and each row's values are those of `run_av_inv` for its x (the
+    # trivial operator's vectors are the exact run's, all 1)
+    perm = build_permutation(family, 6, **kwargs)
+    jop = build_pseudo_identity(6, 1, a=1e-3, b=3 / 64, bad_mode="random-angle",
+                                angle_mode="random", seed=4)
+    for op, threshold in ((None, EXACT_THRESHOLD), (jop, PSEUDO_THRESHOLD)):
+        def csv_rows(xs):
+            return run_reports_to_csv(perm, op, run_batch(perm, op, xs, 1, trace,
+                                                          threshold)).splitlines()
+
+        header, *rows = csv_rows(range(64))
+        assert len(rows) == 64
+        for x, row in enumerate(rows):
+            assert csv_rows([x]) == [header, row]
+            report = run_av_inv(perm, x, op or build_pseudo_identity(6, 1), trace, threshold)
+            failing = report.first_failing_stage
+            assert row.split(",")[7:] == [str(x), f"{report.success_prob:.17g}",
+                                          f"{report.v2_norm:.17g}",
+                                          "" if failing is None else str(failing)]
+        if op is not None and trace:
+            assert any(row.split(",")[-1] for row in rows)
 
 
 def test_stepwise_exact_provider_passes():
@@ -230,7 +272,8 @@ def test_stepwise_corrupted_provider_fails_at_its_stage(corrupt):
     perm = build_permutation("random", 8, seed=7)
     report = run_stepwise_test(perm, range(0, 256, 5), corrupt_stage=corrupt)
     assert report.first_failing_stage == corrupt
-    assert set(report.per_x_first_failing) == {corrupt}
+    for x in range(0, 256, 5):
+        assert run_stepwise_test(perm, [x], corrupt_stage=corrupt).first_failing_stage == corrupt
     # the wrong-prefix reflection lands at fidelity exactly 1/4
     assert report.stage_min_fidelity[corrupt] == pytest.approx(0.25, abs=1e-12)
 

@@ -10,12 +10,12 @@ from qperminv import (
     error_length,
     parse_pseudo_identity,
     permutation_to_text,
-    run_av_inv,
     serialize_pseudo_identity,
 )
-from qperminv.invert import initial_state
+from qperminv.invert import initial_state, run_av_inv
 from qperminv.ops import (
     _draw_operator,
+    _implied_cosines,
     apply_pseudo_identity,
     apply_pseudo_reflection,
     apply_reflection_exact,
@@ -164,7 +164,7 @@ def test_trivial_pseudo_identity_acts_as_identity():
 
 
 def test_worst_case_bad_state_is_fully_rotated():
-    jop = build_pseudo_identity(2, 1, a=0.0, b=0.25, explicit_bad_set=[0])
+    jop = PseudoIdentity(2, 1, 0.0, 0.25, [0], _implied_cosines(2, 0.0, [0]))
     state = StateVector.basis(2, 1, 0, 0)
     apply_pseudo_identity(state, jop)
     assert state.amps[state.index_of(0, 1)] == 1.0
@@ -187,7 +187,7 @@ def test_worst_case_good_cosines():
 def test_identity_defect_cases():
     trivial = build_pseudo_identity(2, 1)
     assert all(_identity_defect(trivial, z) == 0.0 for z in range(4))
-    jop = build_pseudo_identity(2, 1, a=0.0, b=0.5, explicit_bad_set=[1, 2])
+    jop = PseudoIdentity(2, 1, 0.0, 0.5, [1, 2], _implied_cosines(2, 0.0, [1, 2]))
     assert _identity_defect(jop, 1) == 1.0
     with pytest.raises(ValueError, match="range"):
         _identity_defect(jop, 4)
@@ -195,7 +195,7 @@ def test_identity_defect_cases():
 
 def test_bad_set_capacity_enforced():
     with pytest.raises(ValueError, match="exceeds"):
-        build_pseudo_identity(2, 1, a=0.0, b=0.25, explicit_bad_set=[0, 1])
+        PseudoIdentity(2, 1, 0.0, 0.25, [0, 1], _implied_cosines(2, 0.0, [0, 1]))
     with pytest.raises(ValueError, match="ancilla"):
         build_pseudo_identity(2, 0, a=0.0, b=0.0)
 
@@ -226,14 +226,11 @@ def test_sampled_bad_sets_have_exact_size_and_nest():
     assert small <= large
 
 
-def _draw_with_generator(n, a, b, bad_mode, angle_mode, seed, explicit_bad_set=None):
+def _draw_with_generator(n, a, b, bad_mode, angle_mode, seed):
     """The operator draw with one generator made whatever is drawn."""
     size = 1 << n
     rng = np.random.default_rng(seed)
-    if explicit_bad_set is not None:
-        bad = np.array(sorted(set(explicit_bad_set)), dtype=np.int64)
-    else:
-        bad = np.sort(rng.permutation(size)[:bad_set_capacity(n, b)]).astype(np.int64)
+    bad = np.sort(rng.permutation(size)[:bad_set_capacity(n, b)]).astype(np.int64)
     if angle_mode == "worst-case":
         cosines = np.full(size, 1.0 - a)
     else:
@@ -243,16 +240,17 @@ def _draw_with_generator(n, a, b, bad_mode, angle_mode, seed, explicit_bad_set=N
     return bad, cosines
 
 
-@pytest.mark.parametrize("explicit_bad_set", [None, ()])
+@pytest.mark.parametrize("seed", [None, 7])
 @pytest.mark.parametrize("bad_mode", ["full-rotation", "random-angle"])
 @pytest.mark.parametrize("angle_mode", ["worst-case", "random"])
-def test_empty_bad_set_draw_matches_one_generator(explicit_bad_set, bad_mode, angle_mode):
+def test_empty_bad_set_draw_matches_one_generator(seed, bad_mode, angle_mode):
+    # an operator seed of None draws as seed 0
     for n in range(1, 17):
         for a in (0.0, 1e-6, 1e-3):
             for b in (0.0, 2.0 ** -(n + 1)):
-                args = (n, a, b, bad_mode, angle_mode, 7 * n, explicit_bad_set)
-                bad, cosines = _draw_operator(*args)
-                ref_bad, ref_cosines = _draw_with_generator(*args)
+                args = (n, a, b, bad_mode, angle_mode)
+                bad, cosines = _draw_operator(*args, seed)
+                ref_bad, ref_cosines = _draw_with_generator(*args, seed or 0)
                 assert bad.dtype == np.int64 and bad.size == 0
                 assert np.array_equal(bad, ref_bad)
                 assert cosines.tobytes() == ref_cosines.tobytes()
@@ -263,10 +261,8 @@ def test_empty_worst_case_draw_makes_no_generator(monkeypatch):
         raise AssertionError("a generator was made")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    for explicit_bad_set in (None, (), []):
-        bad, cosines = _draw_operator(6, 1e-3, 1 / 128, "random-angle", "worst-case", 5,
-                                      explicit_bad_set)
-        assert bad.size == 0 and np.all(cosines == 1.0 - 1e-3)
+    bad, cosines = _draw_operator(6, 1e-3, 1 / 128, "random-angle", "worst-case", 5)
+    assert bad.size == 0 and np.all(cosines == 1.0 - 1e-3)
     assert build_pseudo_identity(6, 1, a=1e-3, seed=5).bad_size == 0
 
 
@@ -300,7 +296,7 @@ def test_pseudo_identity_preserves_inner_products():
 
 
 def test_pseudo_identity_moves_amplitude_within_blocks_only():
-    jop = build_pseudo_identity(2, 2, a=0.0, b=0.25, explicit_bad_set=[0])
+    jop = PseudoIdentity(2, 2, 0.0, 0.25, [0], _implied_cosines(2, 0.0, [0]))
     state = StateVector(2, 2)
     grid = state.grid()
     grid[0, 0] = 1 / np.sqrt(2)
@@ -413,7 +409,7 @@ def test_reflection_defect_zero_for_trivial_operator():
 def test_reflection_defect_positive_on_displaced_input():
     perm = build_permutation("identity", 4)
     y_in = 5
-    jop = build_pseudo_identity(4, 1, a=0.0, b=1 / 16, explicit_bad_set=[y_in])
+    jop = PseudoIdentity(4, 1, 0.0, 1 / 16, [y_in], _implied_cosines(4, 0.0, [y_in]))
     defect = _reflection_defect(perm, jop, j=1, x=perm.forward(y_in), y_in=y_in)
     assert defect > 0.1
     assert defect <= 2.0

@@ -150,7 +150,6 @@ def test_odd_and_oversized_n_rejected():
         build_permutation("identity", 3)
     with pytest.raises(ValueError, match="cap"):
         build_permutation("identity", 18)
-    build_permutation("identity", 18, max_bits=18)  # cap is configurable
 
 
 def test_unknown_family_rejected():
