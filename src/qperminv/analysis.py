@@ -140,6 +140,12 @@ def good_term_coarse(n: int, a: float) -> float:
     return 2.0 * math.sqrt(a) * 2.0 ** (n / 2)
 
 
+def _error_lengths(gap: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Each x's error length, the root of the mean gap 2 - 2c over its block,
+    from one level's block means of the gaps and each x's block."""
+    return np.sqrt(np.maximum(gap, 0.0))[blocks]
+
+
 def _error_sweeps(perm: Permutation, jop: PseudoIdentity, xs, levels) -> list[ErrorLengthSweep]:
     """`expected_error_sweep` at each level i in levels, from one level pass
     over the gaps 2 - 2c and the bad-set indicator."""
@@ -153,7 +159,7 @@ def _error_sweeps(perm: Permutation, jop: PseudoIdentity, xs, levels) -> list[Er
     for i in levels:
         gap, bad = stats[i][0]
         blocks = xs >> (n - 2 * i)
-        lengths = np.sqrt(np.maximum(gap, 0.0))[blocks]
+        lengths = _error_lengths(gap, blocks)
         # each bad mean is a multiple of 1/|S|, so their float sum is exact
         mean_ratio = Fraction(float(bad[blocks].sum())) / xs.size
         mean_len = float(lengths.mean())

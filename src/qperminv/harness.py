@@ -10,18 +10,19 @@ command emits a manifest with SHA-256 checksums of its outputs.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
     BOUND_TOL,
+    _error_lengths,
     _error_sweeps,
     _margins,
     compute_params,
@@ -29,16 +30,18 @@ from .analysis import (
     inversion_residual_stats,
     sample_xs,
 )
-from .invert import Runs, run_batch  # noqa: F401 (run_batch: the CLI's entry)
+from .invert import Runs, _deficit_column, _levels, _success_residual
+from .invert import run_batch  # noqa: F401 (the CLI's entry)
 from .ops import (
     ANGLE_MODES,
     BAD_MODES,
     PseudoIdentity,
     _checked_bad_lut,
     _draw_operator,
+    _sines,
     build_pseudo_identity,
 )
-from .perm import Permutation, build_permutation
+from .perm import DEFAULT_MAX_BITS, FAMILIES, Permutation, build_permutation
 
 ENV_OUT_DIR = "QPERMINV_OUT_DIR"
 ENV_WORKERS = "QPERMINV_WORKERS"
@@ -144,47 +147,6 @@ def run_reports_to_csv(perm: Permutation, jop: PseudoIdentity | None, runs: Runs
     return "\n".join(lines) + "\n"
 
 
-SWEEP_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["master_seed", "grid"],
-    "properties": {
-        "master_seed": {"type": "integer", "minimum": 0},
-        "k": {"type": "integer", "minimum": 1},
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n", "family", "a", "bad_size"],
-            "properties": {
-                "n": {"type": "array", "items": {"type": "integer", "minimum": 2, "maximum": 16}},
-                "family": {
-                    "type": "array",
-                    "items": {"enum": ["identity", "bit-reversal", "xor-mask", "affine-gf2", "random"]},
-                },
-                "a": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}},
-                "bad_size": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-            },
-        },
-        "perm_seed": {"type": "integer"},
-        "j_seed": {"type": "integer"},
-        "bad_mode": {"enum": ["full-rotation", "random-angle"]},
-        "angle_mode": {"enum": ["worst-case", "random"]},
-        "x_mode": {
-            "oneOf": [
-                {"const": "all"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["sample"],
-                    "properties": {"sample": {"type": "integer", "minimum": 1}},
-                },
-            ]
-        },
-        "exceed_threshold": {"type": "number", "exclusiveMinimum": 0},
-        "out": {"type": "string"},
-    },
-}
-
 SWEEP_DEFAULTS = {
     "k": 1,
     "bad_mode": "full-rotation",
@@ -194,33 +156,76 @@ SWEEP_DEFAULTS = {
 }
 
 
-@functools.cache
-def _sweep_validator():
-    """SWEEP_CONFIG_SCHEMA's validator, with integers that are JSON integers
-    (4.0 and true are not)."""
-    import jsonschema
+def _is_int(value) -> bool:
+    """A JSON integer: 4.0 and true are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    base = jsonschema.Draft202012Validator
-    strict_int = base.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
-    return jsonschema.validators.extend(base, type_checker=strict_int)(SWEEP_CONFIG_SCHEMA)
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _at_least(low: int) -> tuple:
+    return lambda v: _is_int(v) and v >= low, f"an integer >= {low}"
+
+
+def _one_of(choices: tuple) -> tuple:
+    return lambda v: v in choices, f"one of {', '.join(choices)}"
+
+
+# key -> (test, rule) of a top-level value, or of each item of a grid list;
+# numbers are JSON numbers that a float holds (NaN and Infinity fail every range)
+_SWEEP_RULES = {
+    "master_seed": _at_least(0),
+    "grid": (lambda v: isinstance(v, dict), "an object"),
+    "k": _at_least(1),
+    "perm_seed": _at_least(0),
+    "j_seed": _at_least(0),
+    "bad_mode": _one_of(BAD_MODES),
+    "angle_mode": _one_of(ANGLE_MODES),
+    "x_mode": (lambda v: v == "all" or (isinstance(v, dict) and v.keys() == {"sample"}
+                                        and _is_int(v["sample"]) and v["sample"] >= 1),
+               '"all" or {"sample": <integer >= 1>}'),
+    "exceed_threshold": (lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
+                         "a finite number > 0"),
+    "out": (lambda v: isinstance(v, str), "a string"),
+}
+_GRID_RULES = {
+    "n": (lambda v: _is_int(v) and 2 <= v <= DEFAULT_MAX_BITS and v % 2 == 0,
+          f"even integers in [2, {DEFAULT_MAX_BITS}]"),
+    "family": _one_of(tuple(f for f in FAMILIES if f != "from-table")),
+    "a": (lambda v: _is_number(v) and 0 <= v <= 1, "numbers in [0, 1]"),
+    "bad_size": _at_least(0),
+}
+
+
+def _check_keys(where: str, obj: dict, rules: dict, required) -> None:
+    for fault, keys in (("unknown", [key for key in obj if key not in rules]),
+                        ("missing", [key for key in required if key not in obj])):
+        if keys:
+            raise ValueError(f"{fault} {where}key {keys[0]!r}")
 
 
 def validate_sweep_config(config: dict) -> dict:
-    """The config merged over SWEEP_DEFAULTS; ValueError when it is invalid."""
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_sweep_validator().iter_errors(config))
-    if error is not None:
-        raise ValueError(error.message)
+    """The config merged over SWEEP_DEFAULTS; ValueError naming the first key
+    that breaks its rule."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be an object, got {config!r}")
+    _check_keys("", config, _SWEEP_RULES, ("master_seed", "grid"))
+    for key, value in config.items():
+        test, rule = _SWEEP_RULES[key]
+        if not test(value):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
+    grid = config["grid"]
+    _check_keys("grid ", grid, _GRID_RULES, _GRID_RULES)
+    for key, (test, rule) in _GRID_RULES.items():
+        if not isinstance(grid[key], list):
+            raise ValueError(f"grid {key} must be a list, got {grid[key]!r}")
+        for value in grid[key]:
+            if not test(value):
+                raise ValueError(f"grid {key} values must be {rule}, got {value!r}")
     merged = dict(SWEEP_DEFAULTS)
     merged.update(config)
-    for n in merged["grid"]["n"]:
-        if n % 2 != 0:
-            raise ValueError(f"grid n values must be even, got {n}")
-    for value in (*merged["grid"]["a"], merged["exceed_threshold"]):
-        if not math.isfinite(value):
-            raise ValueError(f"sweep numbers must be finite, got {value}")
     return merged
 
 
@@ -230,7 +235,15 @@ def load_sweep_config(path: str) -> dict:
 
 
 def sweep_rows(config: dict) -> tuple[list[list[str]], dict]:
-    """Evaluate a sweep grid in closed form; rows come in grid (lexicographic) order."""
+    """Evaluate a sweep grid in closed form; rows come in grid (lexicographic) order.
+
+    A grid point draws its operator's cosines and checks them as
+    `PseudoIdentity` does, but builds no operator. One complex level pass
+    over the rotation vectors gives the last stage's deficits, and so success
+    and residual, as in `inversion_residual_stats`. One real level pass over
+    the gaps 2 - 2c gives each level's mean error length, as in
+    `expected_error_sweep`: the tagged stages j = 0 .. n/2 - 1 and the plain
+    j = 1 .. n/2 are the levels 0 .. n/2."""
     master = config["master_seed"]
     k = config["k"]
     grid = config["grid"]
@@ -244,14 +257,14 @@ def sweep_rows(config: dict) -> tuple[list[list[str]], dict]:
             j_seed = derive_seed(master, label)
             derived[label] = j_seed
         if config["x_mode"] == "all":
-            xs = None
-            x_mode, x_count = "all", 1 << n
+            xs = np.arange(1 << n)
+            x_mode = "all"
         else:
             label = f"xs/n={n}"
             xs_seed = derive_seed(master, label)
             derived[label] = xs_seed
-            xs = sample_xs(n, config["x_mode"]["sample"], xs_seed)
-            x_mode, x_count = "sample", len(xs)
+            xs = np.array(sample_xs(n, config["x_mode"]["sample"], xs_seed), dtype=np.int64)
+            x_mode = "sample"
         for family in grid["family"]:
             perm_seed = config.get("perm_seed")
             if perm_seed is None:
@@ -264,21 +277,20 @@ def sweep_rows(config: dict) -> tuple[list[list[str]], dict]:
                     if bad_size > (1 << n):
                         raise ValueError(f"bad_size {bad_size} exceeds 2^{n}")
                     b = bad_size / (1 << n)
-                    jop = build_pseudo_identity(
-                        n, k, a=a, b=b,
-                        bad_mode=config["bad_mode"], angle_mode=config["angle_mode"],
-                        seed=j_seed,
-                    )
-                    stats = inversion_residual_stats(perm, jop, 1.0 / threshold, xs)
-                    # tagged stages j = 0 .. n/2 - 1 and plain j = 1 .. n/2
-                    lengths = [s.mean_error_len
-                               for s in _error_sweeps(perm, jop, xs, range(n // 2 + 1))]
+                    bad, cosines = _draw_operator(n, a, b, config["bad_mode"],
+                                                  config["angle_mode"], j_seed)
+                    _checked_bad_lut(cosines, bad, a)
+                    vectors = _levels(perm, cosines + 1j * _sines(cosines))
+                    success, v2 = _success_residual(_deficit_column(vectors, n // 2 - 1, xs))
+                    gaps = _levels(perm, 2.0 - 2.0 * cosines)
+                    lengths = [float(_error_lengths(gaps[i][0], xs >> (n - 2 * i)).mean())
+                               for i in range(n // 2 + 1)]
                     rows.append([
                         _cell(n), family, _cell(perm_seed), _cell(k), _cell(float(a)),
-                        _cell(b), _cell(bad_size), _cell(j_seed), x_mode, _cell(x_count),
-                        _cell(stats.mean_success), _cell(stats.mean_v2), _cell(stats.max_v2),
-                        _cell(threshold),
-                        _cell(int(np.count_nonzero(stats.v2_values > threshold))),
+                        _cell(b), _cell(bad_size), _cell(j_seed), x_mode, _cell(xs.size),
+                        _cell(float(success.mean())), _cell(float(v2.mean())),
+                        _cell(float(v2.max())), _cell(threshold),
+                        _cell(int(np.count_nonzero(v2 > threshold))),
                         _cell(float(np.mean(lengths[:-1]))), _cell(float(np.mean(lengths[1:]))),
                     ])
     return rows, derived

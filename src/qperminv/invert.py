@@ -129,13 +129,14 @@ def stage_deficits(perm: Permutation, xs, jop: PseudoIdentity | None, stages) ->
     """
     xs = _check_values(xs, perm.n)
     levels = _levels(perm, _vectors(perm, jop))
+    return np.stack([_deficit_column(levels, j, xs) for j in stages], axis=1)
+
+
+def _deficit_column(levels: list, j: int, xs: np.ndarray) -> np.ndarray:
+    """`stage_deficits` at stage j, from the levels of the rotation vectors."""
     mean_all, spread_all = levels[0]
-    columns = []
-    for j in stages:
-        means, spreads = _at(levels, j + 1, xs)
-        columns.append(0.5 * _sq(means - mean_all) + 0.5 * spread_all
-                       + (0.5 - 0.5 ** (j + 1)) * spreads)
-    return np.stack(columns, axis=1)
+    means, spreads = _at(levels, j + 1, xs)
+    return 0.5 * _sq(means - mean_all) + 0.5 * spread_all + (0.5 - 0.5 ** (j + 1)) * spreads
 
 
 def _success_residual(last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -119,7 +119,7 @@ class PseudoIdentity:
         self.b = float(b)
         self.bad_set = tuple(int(z) for z in bad)
         self.cosines = cosines
-        self.sines = np.sqrt(np.maximum(0.0, 1.0 - cosines * cosines))
+        self.sines = _sines(cosines)
         self.bad_mode = bad_mode
         self.angle_mode = angle_mode
         self.seed = seed
@@ -139,6 +139,10 @@ class PseudoIdentity:
             f"PseudoIdentity(n={self.n}, k={self.k}, a={self.a}, b={self.b}, "
             f"bad_size={self.bad_size}, modes=({self.angle_mode}, {self.bad_mode}))"
         )
+
+
+def _sines(cosines: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(0.0, 1.0 - cosines * cosines))
 
 
 def bad_set_capacity(n: int, b: float) -> int:

@@ -4,6 +4,7 @@ import json
 import hashlib
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -12,12 +13,15 @@ import numpy as np
 import pytest
 
 from qperminv import (
+    PseudoIdentity,
     build_permutation,
     build_pseudo_identity,
     check_error_length_bound,
     check_residual_bound,
     derive_seed,
+    expected_error_sweep,
     inversion_residual_stats,
+    sample_xs,
     serialize_pseudo_identity,
 )
 from qperminv import harness
@@ -571,6 +575,144 @@ def test_sweep_mean_residual_column_monotone_in_bad_size(tmp_path):
     means = [float(r[col]) for r in rows]
     assert means == sorted(means)
     assert means[0] == 0.0
+
+
+def _valid_sweep_config():
+    return {"master_seed": 5, "grid": {"n": [4], "family": ["random"], "a": [0.0],
+                                       "bad_size": [1]}}
+
+
+def _broken(change):
+    config = _valid_sweep_config()
+    change(config)
+    return config
+
+
+# (key the error must name, config that breaks one rule)
+SWEEP_CONFIG_FAULTS = [
+    ("master_seed", _broken(lambda c: c.pop("master_seed"))),
+    ("grid", _broken(lambda c: c.pop("grid"))),
+    ("extra", _broken(lambda c: c.update(extra=1))),
+    ("depth", _broken(lambda c: c["grid"].update(depth=[1]))),
+    ("bad_size", _broken(lambda c: c["grid"].pop("bad_size"))),
+    ("master_seed", _broken(lambda c: c.update(master_seed=4.0))),
+    ("k", _broken(lambda c: c.update(k=True))),
+    ("bad_size", _broken(lambda c: c["grid"].update(bad_size=[4.0]))),
+    ("n", _broken(lambda c: c["grid"].update(n=[True]))),
+    ("n", _broken(lambda c: c["grid"].update(n=[5]))),
+    ("n", _broken(lambda c: c["grid"].update(n=[18]))),
+    ("family", _broken(lambda c: c["grid"].update(family=["gray-code"]))),
+    ("family", _broken(lambda c: c["grid"].update(family="random"))),
+    ("a", _broken(lambda c: c["grid"].update(a=[1.5]))),
+    ("a", _broken(lambda c: c["grid"].update(a=[-0.25]))),
+    ("a", _broken(lambda c: c["grid"].update(a=[math.nan]))),
+    ("bad_size", _broken(lambda c: c["grid"].update(bad_size=[-1]))),
+    ("x_mode", _broken(lambda c: c.update(x_mode="some"))),
+    ("x_mode", _broken(lambda c: c.update(x_mode={"sample": 0}))),
+    ("x_mode", _broken(lambda c: c.update(x_mode={"sample": 3, "x": 1}))),
+    ("exceed_threshold", _broken(lambda c: c.update(exceed_threshold=0))),
+    ("exceed_threshold", _broken(lambda c: c.update(exceed_threshold=math.inf))),
+    ("exceed_threshold", _broken(lambda c: c.update(exceed_threshold=10**400))),
+    ("perm_seed", _broken(lambda c: c.update(perm_seed=-1))),
+    ("perm_seed", _broken(lambda c: (c.update(perm_seed=-1),
+                                      c["grid"].update(family=["identity", "random"])))),
+    ("j_seed", _broken(lambda c: c.update(j_seed=-3))),
+    ("config", [_valid_sweep_config()]),
+]
+
+
+@pytest.mark.parametrize("key, config", SWEEP_CONFIG_FAULTS,
+                         ids=[f"{i}-{key}" for i, (key, _) in enumerate(SWEEP_CONFIG_FAULTS)])
+def test_sweep_config_fault_names_its_key(key, config, tmp_path, capsys):
+    with pytest.raises(ValueError, match=rf"\b{key}\b") as raised:
+        harness.validate_sweep_config(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid sweep config: {raised.value}\n"
+    assert not out.exists()
+
+
+def _closed_form_rows(config):
+    """Sweep rows rebuilt from the public closed forms on built operators."""
+    master, grid, threshold = config["master_seed"], config["grid"], config["exceed_threshold"]
+    rows = []
+    for n in grid["n"]:
+        j_seed = derive_seed(master, f"pseudo-identity/n={n}")
+        xs = None
+        if config["x_mode"] != "all":
+            xs = sample_xs(n, config["x_mode"]["sample"], derive_seed(master, f"xs/n={n}"))
+        for family in grid["family"]:
+            perm_seed = derive_seed(master, f"perm/{family}/n={n}")
+            perm = build_permutation(family, n, seed=perm_seed)
+            for a in grid["a"]:
+                for bad_size in grid["bad_size"]:
+                    jop = build_pseudo_identity(n, config["k"], a, bad_size / (1 << n),
+                                                config["bad_mode"], config["angle_mode"], j_seed)
+                    stats = inversion_residual_stats(perm, jop, 1.0 / threshold, xs)
+                    tagged = [expected_error_sweep(perm, jop, j, True, xs).mean_error_len
+                              for j in range(n // 2)]
+                    plain = [expected_error_sweep(perm, jop, j, False, xs).mean_error_len
+                             for j in range(1, n // 2 + 1)]
+                    rows.append([
+                        str(n), family, str(perm_seed), str(config["k"]), fmt17(a),
+                        fmt17(jop.b), str(bad_size), str(j_seed),
+                        "all" if xs is None else "sample", str(stats.v2_values.size),
+                        fmt17(stats.mean_success), fmt17(stats.mean_v2), fmt17(stats.max_v2),
+                        fmt17(threshold), str(stats.markov_check(threshold)[0]),
+                        fmt17(np.mean(tagged)), fmt17(np.mean(plain)),
+                    ])
+    return rows
+
+
+@pytest.mark.parametrize("x_mode", ["all", {"sample": 7}])
+@pytest.mark.parametrize("modes", [("worst-case", "full-rotation"), ("random", "random-angle")])
+@pytest.mark.parametrize("n", [2, 4, 6, 10])
+def test_sweep_rows_match_public_closed_forms(n, modes, x_mode):
+    config = harness.validate_sweep_config({
+        "master_seed": n, "k": 2, "angle_mode": modes[0], "bad_mode": modes[1], "x_mode": x_mode,
+        "exceed_threshold": 0.01,
+        "grid": {"n": [n], "family": ["identity", "bit-reversal", "xor-mask", "affine-gf2",
+                                      "random"], "a": [0.0, 0.3], "bad_size": [0, 3]},
+    })
+    got = harness.sweep_to_csv(harness.sweep_rows(config)[0])
+    assert got == harness.sweep_to_csv(_closed_form_rows(config))
+
+
+def test_sweep_builds_no_operator(tmp_path, monkeypatch):
+    built = []
+    init = PseudoIdentity.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PseudoIdentity, "__init__", counting_init)
+    cfg = sweep_config(tmp_path, angle_mode="random", bad_mode="random-angle",
+                       grid={"n": [4, 6], "family": ["random", "affine-gf2"], "a": [0.0, 1e-3],
+                             "bad_size": [0, 2]})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+    assert built == []
+    build_pseudo_identity(4, b=0.25)
+    assert len(built) == 1
+
+
+def test_sweep_process_imports_no_jsonschema(tmp_path):
+    cfg, out = sweep_config(tmp_path), tmp_path / "s.csv"
+    code = ("import sys\n"
+            "from qperminv.cli import main\n"
+            f"assert main(['sweep', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert 'qperminv.harness' in sys.modules\n"
+            "assert 'jsonschema' not in sys.modules, 'sweep imported jsonschema'\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
 
 
 def test_params_output(capsys):
