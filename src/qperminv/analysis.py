@@ -9,7 +9,7 @@ inequality between computed numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -102,7 +102,7 @@ class ErrorLengthSweep:
     error_bound_ok: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ResidualSweep:
     """Residuals of the error-tolerant inversion over x, against their bounds."""
 
@@ -115,15 +115,6 @@ class ResidualSweep:
     markov_count: int
     markov_limit: float
     markov_ok: bool
-    v2_values: np.ndarray = field(repr=False)
-
-    def markov_check(self, t: float) -> tuple[int, float, bool]:
-        """count{v2 > t} against the number of x times mean / t, on the measured array."""
-        if t <= 0:
-            raise ValueError("threshold must be positive")
-        count = int(np.count_nonzero(self.v2_values > t))
-        limit = self.v2_values.size * float(np.mean(self.v2_values)) / t
-        return count, limit, count <= limit + BOUND_TOL
 
 
 def sample_xs(n: int, count: int, seed: int) -> list[int]:
@@ -233,7 +224,6 @@ def inversion_residual_stats(
         markov_count=exceed,
         markov_limit=markov_limit,
         markov_ok=exceed <= markov_limit + BOUND_TOL,
-        v2_values=v2,
     )
 
 

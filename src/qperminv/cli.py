@@ -42,8 +42,6 @@ from .perm import (
 )
 from .qstate import check_register_sizes
 
-GEN_FAMILIES = tuple(f for f in FAMILIES if f != "from-table")
-
 
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -57,7 +55,7 @@ def _failure(message: str) -> int:
 
 def _add_perm_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--perm-file", help="load the permutation from a file")
-    parser.add_argument("--family", choices=GEN_FAMILIES, help="built-in permutation family")
+    parser.add_argument("--family", choices=FAMILIES, help="built-in permutation family")
     parser.add_argument("--n", type=int, help="bit length (even)")
     parser.add_argument("--seed", type=int, help="permutation seed")
     parser.add_argument("--mask", type=int, help="xor-mask parameter")
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-perm", help="write a permutation file")
-    p.add_argument("--family", choices=GEN_FAMILIES, required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--mask", type=int)

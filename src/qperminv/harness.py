@@ -193,7 +193,7 @@ _SWEEP_RULES = {
 _GRID_RULES = {
     "n": (lambda v: _is_int(v) and 2 <= v <= DEFAULT_MAX_BITS and v % 2 == 0,
           f"even integers in [2, {DEFAULT_MAX_BITS}]"),
-    "family": _one_of(tuple(f for f in FAMILIES if f != "from-table")),
+    "family": _one_of(FAMILIES),
     "a": (lambda v: _is_number(v) and 0 <= v <= 1, "numbers in [0, 1]"),
     "bad_size": _at_least(0),
 }
@@ -231,7 +231,10 @@ def validate_sweep_config(config: dict) -> dict:
 
 def load_sweep_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_sweep_config(json.load(fh))
+        try:  # the JSON reader and the repr in a rule's message both recurse
+            return validate_sweep_config(json.load(fh))
+        except RecursionError:
+            raise ValueError("config is nested too deeply") from None
 
 
 def sweep_rows(config: dict) -> tuple[list[list[str]], dict]:

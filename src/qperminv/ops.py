@@ -99,8 +99,10 @@ class PseudoIdentity:
             raise ValueError("pseudo-identity needs at least one ancilla qubit")
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"parameters a={a}, b={b} must lie in [0, 1]")
-        if bad_mode not in BAD_MODES or angle_mode not in ANGLE_MODES:
-            raise ValueError(f"unknown mode ({bad_mode!r}, {angle_mode!r})")
+        if angle_mode not in ANGLE_MODES:
+            raise ValueError(f"unknown angle mode {angle_mode!r}")
+        if bad_mode not in BAD_MODES:
+            raise ValueError(f"unknown bad mode {bad_mode!r}")
         size = 1 << n
         bad = support_members(bad_set)
         if bad.size and (bad[0] < 0 or bad[-1] >= size):
@@ -164,13 +166,17 @@ def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a, starts=(0,)) -> np
     return lut
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:  # refused as numpy refuses it, drawn from or not
+        raise ValueError(f"operator seed must be non-negative, got {seed}")
+
+
 def _draw_operator(n: int, a: float, b: float, bad_mode: str, angle_mode: str,
                    seed: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The sorted bad set and the cosines of `build_pseudo_identity`, drawn from
     one generator seeded with `seed` (0 when None). Worst-case angles on an
     empty bad set draw nothing, so no generator is made."""
-    if seed is not None and seed < 0:  # refused as numpy refuses it, drawn from or not
-        raise ValueError(f"operator seed must be non-negative, got {seed}")
+    _check_seed(seed)
     size = 1 << n
     capacity = bad_set_capacity(n, b)
     if angle_mode == "worst-case" and not capacity:
@@ -265,6 +271,18 @@ def serialize_pseudo_identity(jop: PseudoIdentity) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NOT_A_NUMBER = {int: "invalid literal for int() with base 10",
+                 float: "could not convert string to float"}
+
+
+def _number(token: str, kind=int):
+    """kind(token), refusing the digit separators that int() and float() take
+    and the cosine rows' reader does not, with the message of any non-number."""
+    if "_" in token:
+        raise ValueError(f"{_NOT_A_NUMBER[kind]}: {token!r}")
+    return kind(token)
+
+
 def parse_pseudo_identity(text: str) -> PseudoIdentity:
     if not text.isascii():  # numpy's reader mishandles some other code points
         raise ValueError("pseudo-identity file must be ASCII")
@@ -274,14 +292,15 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     head = lines[0].split()
     if len(head) != 6:
         raise ValueError("header must be 'n k a b mode seed'")
-    n, k = int(head[0]), int(head[1])
+    n, k = _number(head[0]), _number(head[1])
     if not 1 <= n <= DEFAULT_MAX_BITS or k < 1:
         raise ValueError(f"header needs n in [1, {DEFAULT_MAX_BITS}] and k >= 1, got n={n}, k={k}")
-    a, b = float(head[2]), float(head[3])
+    a, b = _number(head[2], float), _number(head[3], float)
     if "/" not in head[4]:
         raise ValueError("mode must be 'angle_mode/bad_mode'")
     angle_mode, bad_mode = head[4].split("/", 1)
-    seed = None if head[5] == "-" else int(head[5])
+    seed = None if head[5] == "-" else _number(head[5])
+    _check_seed(seed)
 
     def block(pos: int, expected_tag: str) -> tuple[int, int]:
         if pos >= len(lines) or len(lines[pos].split()) != 2:
@@ -289,21 +308,20 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
         tag, count = lines[pos].split()
         if tag != expected_tag:
             raise ValueError(f"expected '{expected_tag} <count>' line, got {tag!r}")
-        count = int(count)
+        count = _number(count)
         if count < 0:
             raise ValueError(f"{expected_tag} count must be non-negative, got {count}")
         if pos + count >= len(lines):
             raise ValueError(f"{expected_tag} block is truncated")
         return pos + 1, count
 
-    def main_value(token: str) -> int:
-        z = int(token)
+    def main_value(z: int) -> int:
         if not 0 <= z < (1 << n):
             raise ValueError(f"main value {z} out of range for {n} bits")
         return z
 
     pos, bad_count = block(1, "bad")
-    bad = [main_value(lines[pos + i]) for i in range(bad_count)]
+    bad = [main_value(_number(lines[pos + i])) for i in range(bad_count)]
     pos, angle_count = block(pos + bad_count, "angles")
     if angle_count == 0:
         cosines = _implied_cosines(n, a, bad)

@@ -10,7 +10,7 @@ import numpy as np
 
 DEFAULT_MAX_BITS = 16
 
-FAMILIES = ("identity", "bit-reversal", "xor-mask", "affine-gf2", "random", "from-table")
+FAMILIES = ("identity", "bit-reversal", "xor-mask", "affine-gf2", "random")
 
 
 def _check_bits(n: int) -> None:
@@ -60,14 +60,6 @@ class Permutation:
     def size(self) -> int:
         return 1 << self.n
 
-    def forward(self, v: int) -> int:
-        _check_value(v, self.n)
-        return int(self.table[v])
-
-    def inverse(self, v: int) -> int:
-        _check_value(v, self.n)
-        return int(self.inverse_table[v])
-
     def __repr__(self) -> str:
         return f"Permutation(family={self.family!r}, n={self.n}, seed={self.seed})"
 
@@ -108,25 +100,17 @@ def _fisher_yates(size: int, seed: int) -> np.ndarray:
     return np.array(table, dtype=np.int64)
 
 
-def build_permutation(
-    family: str,
-    n: int,
-    *,
-    seed: int | None = None,
-    mask: int | None = None,
-    matrix: list[int] | None = None,
-    offset: int | None = None,
-    table=None,
-) -> Permutation:
-    """Construct a permutation from one of the built-in families.
+def build_permutation(family: str, n: int, *, seed: int | None = None,
+                      mask: int | None = None) -> Permutation:
+    """Construct a permutation from one of the built-in FAMILIES.
 
     identity       y -> y
     bit-reversal   y -> its n-bit string reversed
     xor-mask       y -> y ^ mask (mask drawn from the seed when omitted)
-    affine-gf2     y -> A.bits(y) + c over GF(2); A given as n row masks,
-                   MSB row first, or drawn invertible from the seed
+    affine-gf2     y -> A.bits(y) + c over GF(2), A drawn invertible from the seed
     random         seeded Fisher-Yates shuffle
-    from-table     explicit table, validated
+
+    A table loaded from a file is a Permutation with the label "from-table".
     """
     _check_bits(n)
     size = 1 << n
@@ -141,28 +125,14 @@ def build_permutation(
         _check_value(mask, n)
         return Permutation(n, np.arange(size) ^ mask, family, seed)
     if family == "affine-gf2":
-        if matrix is not None:
-            rows = [int(r) for r in matrix]
-            if len(rows) != n or any(not 0 <= r < size for r in rows):
-                raise ValueError(f"matrix must be {n} row masks in [0, 2^n)")
-            if _gf2_rank(rows) != n:
-                raise ValueError("affine matrix is singular over GF(2)")
-            c = 0 if offset is None else int(offset)
-        else:
-            rng = np.random.default_rng(0 if seed is None else seed)
-            while True:
-                rows = [int(rng.integers(0, size)) for _ in range(n)]
-                if _gf2_rank(rows) == n:
-                    break
-            c = int(rng.integers(0, size))
-        _check_value(c, n)
-        return Permutation(n, _affine_table(rows, c, n), family, seed)
+        rng = np.random.default_rng(0 if seed is None else seed)
+        while True:
+            rows = [int(rng.integers(0, size)) for _ in range(n)]
+            if _gf2_rank(rows) == n:
+                break
+        return Permutation(n, _affine_table(rows, int(rng.integers(0, size)), n), family, seed)
     if family == "random":
         return Permutation(n, _fisher_yates(size, 0 if seed is None else seed), family, seed)
-    if family == "from-table":
-        if table is None:
-            raise ValueError("from-table requires an explicit table")
-        return Permutation(n, table, family, seed)
     raise ValueError(f"unknown permutation family {family!r}")
 
 
@@ -197,7 +167,7 @@ def permutation_from_text(text: str) -> Permutation:
     if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
         raise ValueError("table rows must be decimal integers, one per line")
     lines = text.replace("\r", " ").split("\n")[:-1]
-    if not lines[0].startswith("n="):
+    if not lines[0].startswith("n=") or "_" in lines[0]:  # int() takes digit separators
         raise ValueError("permutation file must start with 'n=<int>'")
     try:
         n = int(lines[0][2:])

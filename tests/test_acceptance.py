@@ -159,8 +159,8 @@ def test_criterion_6_residual_aggregate_n10():
         summary = inversion_residual_stats(perm, jop, q=2.0)
         bound = 2.0 * n * math.sqrt(bad_size / 1024)
         ok = ok and summary.mean_v2 <= bound + 1e-9
-        count, _, markov_ok = summary.markov_check(10 * summary.mean_v2)
-        ok = ok and markov_ok and count <= (1 << n) / 10
+        markov = inversion_residual_stats(perm, jop, q=1 / (10 * summary.mean_v2))
+        ok = ok and markov.markov_ok and markov.markov_count <= (1 << n) / 10
     empty = build_pseudo_identity(n, 1, a=0.0, b=0.0)
     ok = ok and inversion_residual_stats(perm, empty, q=2.0).mean_v2 <= 1e-9
     record("6 mean residual within 2n*sqrt(b), empirical averaging count", ok)

@@ -207,8 +207,8 @@ def test_inversion_residual_stats_bounds_n8():
         if summary.residual_bound_applicable:
             assert summary.residual_bound_ok
         assert summary.mean_v2 <= bound + 1e-9
-        count, limit, ok = summary.markov_check(10 * summary.mean_v2)
-        assert ok and count <= 256 / 10
+        markov = inversion_residual_stats(perm, jop, q=1 / (10 * summary.mean_v2))
+        assert markov.markov_ok and markov.markov_count <= 256 / 10
 
 
 def test_inversion_residual_bound_with_small_good_state_defect():

@@ -62,7 +62,7 @@ def _dense_run(perm, x, k, jop=None):
         oracle = expected_state_after_reflect(perm, x, j, k)
         rows[1].append(state.distance_to(oracle))
         rows[2].append(abs(oracle.inner(state)) ** 2)
-    target = state.index_of(perm.inverse(x), 0)
+    target = state.index_of(int(perm.inverse_table[x]), 0)
     off_target = state.amps.copy()
     off_target[target] = 0.0
     return abs(state.amps[target]) ** 2, np.linalg.norm(off_target), rows

@@ -21,6 +21,7 @@ from qperminv import (
     derive_seed,
     expected_error_sweep,
     inversion_residual_stats,
+    run_batch,
     sample_xs,
     serialize_pseudo_identity,
 )
@@ -637,7 +638,8 @@ def test_sweep_config_fault_names_its_key(key, config, tmp_path, capsys):
 
 
 def _closed_form_rows(config):
-    """Sweep rows rebuilt from the public closed forms on built operators."""
+    """Sweep rows rebuilt from the public closed forms on built operators, the
+    x count and threshold count from the columns of the runs."""
     master, grid, threshold = config["master_seed"], config["grid"], config["exceed_threshold"]
     rows = []
     for n in grid["n"]:
@@ -645,6 +647,7 @@ def _closed_form_rows(config):
         xs = None
         if config["x_mode"] != "all":
             xs = sample_xs(n, config["x_mode"]["sample"], derive_seed(master, f"xs/n={n}"))
+        run_xs = np.arange(1 << n) if xs is None else xs
         for family in grid["family"]:
             perm_seed = derive_seed(master, f"perm/{family}/n={n}")
             perm = build_permutation(family, n, seed=perm_seed)
@@ -653,6 +656,7 @@ def _closed_form_rows(config):
                     jop = build_pseudo_identity(n, config["k"], a, bad_size / (1 << n),
                                                 config["bad_mode"], config["angle_mode"], j_seed)
                     stats = inversion_residual_stats(perm, jop, 1.0 / threshold, xs)
+                    v2 = run_batch(perm, jop, run_xs, config["k"], False, 0.0).v2_norm
                     tagged = [expected_error_sweep(perm, jop, j, True, xs).mean_error_len
                               for j in range(n // 2)]
                     plain = [expected_error_sweep(perm, jop, j, False, xs).mean_error_len
@@ -660,9 +664,9 @@ def _closed_form_rows(config):
                     rows.append([
                         str(n), family, str(perm_seed), str(config["k"]), fmt17(a),
                         fmt17(jop.b), str(bad_size), str(j_seed),
-                        "all" if xs is None else "sample", str(stats.v2_values.size),
+                        "all" if xs is None else "sample", str(v2.size),
                         fmt17(stats.mean_success), fmt17(stats.mean_v2), fmt17(stats.max_v2),
-                        fmt17(threshold), str(stats.markov_check(threshold)[0]),
+                        fmt17(threshold), str(np.count_nonzero(v2 > threshold)),
                         fmt17(np.mean(tagged)), fmt17(np.mean(plain)),
                     ])
     return rows
@@ -850,3 +854,48 @@ def test_unwritable_output_path_fails_cleanly(command, where, tmp_path, capsys):
     assert str(out) in captured.err
     assert not [name for _, _, names in os.walk(tmp_path) for name in names
                 if name.endswith(".tmp")]
+
+
+_OPERATOR_TEXT = serialize_pseudo_identity(build_pseudo_identity(4, 1, a=1e-3, b=2 / 16, seed=3))
+
+
+def _operator_with(old, new):
+    # one edit of '4 1 0.001 0.125 worst-case/full-rotation 3\nbad 2\n11\n15\nangles 0\n'
+    assert _OPERATOR_TEXT.count(old) == 1
+    return _OPERATOR_TEXT.replace(old, new)
+
+
+# (exit code, message the one error line holds, input file name, its text)
+REFUSED_INPUTS = {
+    "deep-config": (2, "invalid sweep config: config is nested too deeply",
+                    "config.json", "[" * 100_000 + "]" * 100_000),
+    "perm-n-separator": (1, "'n=<int>'", "perm.txt",
+                         "n=0_4\n" + "".join(f"{y}\n" for y in range(16))),
+    "op-n-separator": (1, "'0_4'", "op.txt", _operator_with("4 1 ", "0_4 1 ")),
+    "op-a-separator": (1, "'1_0e-1'", "op.txt", _operator_with(" 0.001 ", " 1_0e-1 ")),
+    "op-seed-separator": (1, "'1_0'", "op.txt", _operator_with("rotation 3", "rotation 1_0")),
+    "op-bad-member-separator": (1, "'1_1'", "op.txt", _operator_with("\n11\n", "\n1_1\n")),
+    "op-bad-count-separator": (1, "'0_2'", "op.txt", _operator_with("bad 2", "bad 0_2")),
+    "op-angles-count-separator": (1, "'0_0'", "op.txt", _operator_with("angles 0", "angles 0_0")),
+    "op-negative-seed": (1, "operator seed must be non-negative, got -7", "op.txt",
+                         _operator_with("rotation 3", "rotation -7")),
+    "op-unknown-angle-mode": (1, "unknown angle mode 'bogus'", "op.txt",
+                              _operator_with("worst-case/", "bogus/")),
+    "op-unknown-bad-mode": (1, "unknown bad mode 'bogus'", "op.txt",
+                            _operator_with("/full-rotation", "/bogus")),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_refused_input_files_give_one_error_line(case, tmp_path, capsys):
+    code, match, name, text = REFUSED_INPUTS[case]
+    path, out = tmp_path / name, tmp_path / "out.csv"
+    path.write_text(text)
+    argv = {"config.json": ["sweep", "--config", str(path)],
+            "perm.txt": ["run-inv", "--perm-file", str(path)],
+            "op.txt": ["run-avinv", "--family", "random", "--n", "4", "--j-file", str(path)]}[name]
+    assert main([*argv, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert match in captured.err and "Traceback" not in captured.err

@@ -78,7 +78,7 @@ def test_final_stage_oracle_is_the_preimage():
     perm = build_permutation("random", 6, seed=1)
     for x in (3, 44):
         oracle = expected_state_after_reflect(perm, x, 2, k=0)
-        assert oracle.amps[perm.inverse(x)] == 1.0
+        assert oracle.amps[perm.inverse_table[x]] == 1.0
 
 
 def _dense_final_state(perm, x, k, jop=None):
@@ -181,7 +181,8 @@ def test_run_av_inv_hand_computed_displaced_bystander():
 def test_run_av_inv_displaced_target_degrades_n6():
     perm = build_permutation("random", 6, seed=3)
     x = 19
-    jop = PseudoIdentity(6, 1, 0.0, 1 / 64, [perm.inverse(x)], _implied_cosines(6, 0.0, [perm.inverse(x)]))
+    y = int(perm.inverse_table[x])
+    jop = PseudoIdentity(6, 1, 0.0, 1 / 64, [y], _implied_cosines(6, 0.0, [y]))
     assert run_av_inv(perm, x, jop).success_prob < 1.0 - 1e-3
 
 

@@ -360,10 +360,10 @@ def test_pseudo_reflection_matches_composed_half_steps():
             apply_pseudo_identity(composed, jop, adjoint=True)
             assert composed.distance_to(single) <= 1e-12
         run = run_av_inv(perm, x, jop)
-        target = composed.amps[composed.index_of(perm.inverse(x), 0)]
+        target = composed.amps[composed.index_of(int(perm.inverse_table[x]), 0)]
         assert abs(run.success_prob - abs(target) ** 2) <= 1e-12
         off_target = composed.amps.copy()
-        off_target[composed.index_of(perm.inverse(x), 0)] = 0.0
+        off_target[composed.index_of(int(perm.inverse_table[x]), 0)] = 0.0
         assert abs(run.v2_norm - np.linalg.norm(off_target)) <= 1e-12
 
 
@@ -410,11 +410,11 @@ def test_reflection_defect_positive_on_displaced_input():
     perm = build_permutation("identity", 4)
     y_in = 5
     jop = PseudoIdentity(4, 1, 0.0, 1 / 16, [y_in], _implied_cosines(4, 0.0, [y_in]))
-    defect = _reflection_defect(perm, jop, j=1, x=perm.forward(y_in), y_in=y_in)
+    defect = _reflection_defect(perm, jop, j=1, x=int(perm.table[y_in]), y_in=y_in)
     assert defect > 0.1
     assert defect <= 2.0
     # deterministic on rerun
-    assert defect == _reflection_defect(perm, jop, j=1, x=perm.forward(y_in), y_in=y_in)
+    assert defect == _reflection_defect(perm, jop, j=1, x=int(perm.table[y_in]), y_in=y_in)
 
 
 # --- serialization -----------------------------------------------------------
@@ -477,10 +477,20 @@ def _edit_last(replacement):
     return lambda lines: lines[:-1] + [replacement(lines[-1])]
 
 
+def _separate(line_index, token_index):
+    # "0_" before one token: int() and float() would read past it
+    def edit(lines):
+        tokens = lines[line_index].split()
+        tokens[token_index] = "0_" + tokens[token_index]
+        return [*lines[:line_index], " ".join(tokens), *lines[line_index + 1:]]
+    return edit
+
+
 # Each edit of a random-angle n=4 file (16 'z cosine' lines, z = 15 last)
 # gives back the unedited cosines or is refused with the message. The cosine
 # lines are read by numpy's text reader: a decimal z and a float, split by
-# spaces or tabs.
+# spaces or tabs. Lines 0-4 are the header, 'bad 2', two bad members and
+# 'angles 16'; no token of them takes a digit separator either.
 @pytest.mark.parametrize(
     "edit,expected",
     [
@@ -505,12 +515,22 @@ def _edit_last(replacement):
         (lambda lines: lines[:-9] + [""] + lines[-9:], "z cosine"),
         (lambda lines: lines[:-16] + [""] * 16, "z cosine"),
         (lambda lines: lines[:-16] + [" "] * 16, "z cosine"),
+        (_separate(0, 0), "invalid literal"),
+        (_separate(0, 1), "invalid literal"),
+        (_separate(0, 2), "could not convert"),
+        (_separate(0, 3), "could not convert"),
+        (_separate(0, 5), "invalid literal"),
+        (_separate(1, 1), "invalid literal"),
+        (_separate(2, 0), "invalid literal"),
+        (_separate(4, 1), "invalid literal"),
     ],
     ids=["unedited", "tab", "sign-and-spaces", "unit-separator", "trailing-lines", "one-token",
          "three-tokens", "hex-float", "digit-separator", "infinity", "nan", "float-z", "huge-z",
          "z-16", "non-ascii-z", "repeated-z", "blank-line", "whitespace-line",
          "blank-line-then-block-line",
-         "all-blank", "all-whitespace"],
+         "all-blank", "all-whitespace", "n-separator", "k-separator", "a-separator",
+         "b-separator", "seed-separator", "bad-count-separator", "bad-member-separator",
+         "angles-count-separator"],
 )
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_operator_file_parity(edit, expected, eol, recwarn):
