@@ -2,8 +2,13 @@
 
 Subcommands: gen-perm, run-inv, run-avinv, check-lemmas, test-stages, sweep,
 params. Exit codes: 0 success, 1 failed validation or failed bound/stage,
-2 usage errors. QPERMINV_OUT_DIR and QPERMINV_WORKERS override the output
-directory and worker count.
+2 usage errors. QPERMINV_OUT_DIR overrides the output directory.
+
+Flag values are checked before any work, by the rules of the sweep config's
+keys: --n an even integer in [2, 16] (params has its own), --seed, --j-seed
+integers >= 0, --master-seed and check-lemmas' --seed integers in [0, 2^64),
+--count an integer >= 1, --threshold, --a, --b and --r finite numbers. --k's
+least value depends on the command; --workers is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ import numpy as np
 
 from .analysis import compute_params, sample_xs
 from .harness import (
+    _GRID_RULES,
+    _SWEEP_RULES,
+    _at_least,
     atomic_write_text,
     derive_seed,
     lemma_battery,
     load_sweep_config,
     resolve_out_dir,
-    resolve_workers,
     run_batch,
     run_reports_to_csv,
     sweep_rows,
@@ -34,7 +41,6 @@ from .harness import (
 from .invert import EXACT_THRESHOLD, PSEUDO_THRESHOLD, run_stepwise_test
 from .ops import ANGLE_MODES, BAD_MODES, build_pseudo_identity, parse_pseudo_identity
 from .perm import (
-    DEFAULT_MAX_BITS,
     FAMILIES,
     build_permutation,
     load_permutation,
@@ -51,6 +57,29 @@ def _usage(message: str) -> int:
 def _failure(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+_FINITE = (math.isfinite, "a finite number")
+# flag dest -> (test, rule) of its value, the pairs of the sweep-config keys
+# of the same meaning; a flag is checked wherever it is given, read or not
+_FLAG_RULES = {
+    "n": _GRID_RULES["n"], "seed": _SWEEP_RULES["perm_seed"], "j_seed": _SWEEP_RULES["j_seed"],
+    "master_seed": _SWEEP_RULES["master_seed"], "count": _at_least(1),
+    "threshold": _FINITE, "a": _FINITE, "b": _FINITE, "r": _FINITE,
+}
+# check-lemmas' --seed is the battery's master seed; params' --n keeps
+# compute_params' own rule
+_COMMAND_RULES = {"check-lemmas": {"seed": _SWEEP_RULES["master_seed"]}, "params": {"n": None}}
+
+
+def _flag_error(args) -> str | None:
+    """The message for the first flag whose value breaks its rule, if any."""
+    rules = {**_FLAG_RULES, **_COMMAND_RULES.get(args.command, {})}
+    for dest, value in vars(args).items():
+        rule = rules.get(dest)
+        if rule and value is not None and not rule[0](value):
+            return f"--{dest.replace('_', '-')} must be {rule[1]}, got {value}"
+    return None
 
 
 def _add_perm_source(parser: argparse.ArgumentParser) -> None:
@@ -80,8 +109,6 @@ def _resolve_perm(args):
         raise UsageError("a permutation source is required (--perm-file or --family)")
     if args.n is None:
         raise UsageError("--family requires --n")
-    if args.n % 2 != 0 or args.n < 2:
-        raise UsageError(f"--n must be an even integer >= 2, got {args.n}")
     return build_permutation(args.family, args.n, seed=args.seed, mask=args.mask)
 
 
@@ -132,11 +159,6 @@ def _resolve_inputs(args, with_pseudo: bool):
     least_k = 1 if with_pseudo else 0  # a pseudo-identity needs an ancilla
     if args.k < least_k:
         raise UsageError(f"--k must be at least {least_k}, got {args.k}")
-    if hasattr(args, "workers"):
-        try:
-            resolve_workers(args.workers)  # still validated; closed forms need no fan-out
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     perm = _resolve_perm(args)
     xs = _resolve_xs(args.x, perm.n, args.master_seed)
     jop = _resolve_pseudo_identity(args, perm.n) if with_pseudo else None
@@ -170,8 +192,6 @@ def _write_json(command: str, path: str | None, payload: dict, config: dict) -> 
 
 
 def cmd_gen_perm(args) -> int:
-    if args.n is None or args.n % 2 != 0 or args.n < 2:
-        return _usage(f"--n must be an even integer >= 2, got {args.n}")
     try:
         perm = build_permutation(args.family, args.n, seed=args.seed, mask=args.mask)
     except ValueError as exc:
@@ -214,10 +234,6 @@ def _cmd_run(args, with_pseudo: bool) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
-    if args.n % 2 != 0 or not 2 <= args.n <= DEFAULT_MAX_BITS:
-        return _usage(f"--n must be an even integer in [2, {DEFAULT_MAX_BITS}], got {args.n}")
-    if args.count < 1:
-        return _usage(f"--count must be at least 1, got {args.count}")
     if args.k < 1:
         return _usage(f"--k must be at least 1, got {args.k}")
     try:
@@ -266,10 +282,6 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         return _usage(f"invalid sweep config: {exc}")
     try:
-        resolve_workers(args.workers)  # still validated; closed forms need no fan-out
-    except ValueError as exc:
-        return _usage(str(exc))
-    try:
         rows, derived = sweep_rows(config)
     except ValueError as exc:
         return _failure(str(exc))
@@ -312,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-trace", action="store_true", help="skip per-stage oracle checks")
         p.add_argument("--threshold", type=float, help="stage fidelity threshold")
         p.add_argument("--master-seed", type=int, default=0)
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int, help="accepted and ignored")
         p.add_argument("--out")
         p.add_argument("--out-dir")
         if with_pseudo:
@@ -341,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate a JSON-configured grid")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted and ignored")
     p.add_argument("--out")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_sweep)
@@ -360,11 +372,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for flag in ("threshold", "a", "b", "r"):
-        value = getattr(args, flag, None)
-        if value is not None and not math.isfinite(value):
-            return _usage(f"--{flag} must be a finite number, got {value}")
-    return args.func(args)
+    message = _flag_error(args)
+    return _usage(message) if message else args.func(args)
 
 
 def main_entry() -> None:

@@ -44,7 +44,6 @@ from .ops import (
 from .perm import DEFAULT_MAX_BITS, FAMILIES, Permutation, build_permutation
 
 ENV_OUT_DIR = "QPERMINV_OUT_DIR"
-ENV_WORKERS = "QPERMINV_WORKERS"
 
 ARTIFACT_NAME = "qperminv"
 
@@ -107,18 +106,6 @@ def resolve_out_dir(flag_value: str | None) -> str:
     return env if env else (flag_value if flag_value else ".")
 
 
-def resolve_workers(flag_value: int | None) -> int:
-    """QPERMINV_WORKERS, else the flag, clamped to [1, CPU count]."""
-    env = os.environ.get(ENV_WORKERS)
-    requested = flag_value or 1
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_WORKERS} must be an integer, got {env!r}") from None
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
 def write_manifest(command: str, config_echo: dict, derived_seeds: dict, outputs: dict, manifest_path: str) -> None:
     """outputs maps basename -> file text (already written)."""
     manifest = {
@@ -174,9 +161,11 @@ def _one_of(choices: tuple) -> tuple:
 
 
 # key -> (test, rule) of a top-level value, or of each item of a grid list;
-# numbers are JSON numbers that a float holds (NaN and Infinity fail every range)
+# numbers are JSON numbers that a float holds (NaN and Infinity fail every range).
+# The CLI checks its flags against the same pairs.
 _SWEEP_RULES = {
-    "master_seed": _at_least(0),
+    # derive_seed reads a master seed as 64 bits
+    "master_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)"),
     "grid": (lambda v: isinstance(v, dict), "an object"),
     "k": _at_least(1),
     "perm_seed": _at_least(0),
@@ -192,7 +181,7 @@ _SWEEP_RULES = {
 }
 _GRID_RULES = {
     "n": (lambda v: _is_int(v) and 2 <= v <= DEFAULT_MAX_BITS and v % 2 == 0,
-          f"even integers in [2, {DEFAULT_MAX_BITS}]"),
+          f"an even integer in [2, {DEFAULT_MAX_BITS}]"),
     "family": _one_of(FAMILIES),
     "a": (lambda v: _is_number(v) and 0 <= v <= 1, "numbers in [0, 1]"),
     "bad_size": _at_least(0),

@@ -202,7 +202,6 @@ def test_criterion_8_stepwise_harness(capsys):
 
 def test_criterion_9_sweep_determinism_across_workers(tmp_path, monkeypatch):
     monkeypatch.delenv("QPERMINV_OUT_DIR", raising=False)
-    monkeypatch.delenv("QPERMINV_WORKERS", raising=False)
     config = {
         "master_seed": 99,
         "grid": {"n": [6], "family": ["random"], "a": [0.0], "bad_size": [0, 1, 2]},

@@ -1,9 +1,11 @@
-"""The benchmark tracer's targets against the package.
+"""The benchmark's targets against the package.
 
 `perfbench/tracer.py` wraps named functions of this package by
-(module, attribute). It is loaded here read-only, without writing bytecode
-beside it, so that a deleted or renamed target fails in this suite rather
-than in a benchmark run.
+(module, attribute), and `perfbench/workloads.py` gives each workload's CLI
+arguments. Both are loaded here read-only, without writing bytecode beside
+them, so that a deleted or renamed target, or a flag or flag rule that a
+workload's arguments no longer meet, fails in this suite rather than in a
+benchmark run.
 """
 
 import importlib
@@ -13,16 +15,20 @@ from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name, path):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def tracer_module(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(monkeypatch, "perfbench_tracer", PERFBENCH / "tracer.py")
 
 
 def _targets(tracer_module):
@@ -65,3 +71,19 @@ def test_install_then_uninstall_restores_every_original(tracer_module):
         assert after.keys() == snapshot.keys(), owner
         for key, value in snapshot.items():
             assert after[key] is value, f"{owner!r}.{key} not restored"
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_every_workload_argv_parses(monkeypatch, tmp_path, seed):
+    from qperminv.cli import _flag_error, build_parser
+
+    # workloads.py imports its reference as the top-level module `reference`
+    monkeypatch.setitem(sys.modules, "reference",
+                        _load(monkeypatch, "reference", PERFBENCH / "reference.py"))
+    workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = tmp_path / name
+        inputs.mkdir()
+        argv = workload.argv(workload.write_inputs(inputs, seed), tmp_path / "out")
+        args = build_parser().parse_args(argv)
+        assert _flag_error(args) is None, (name, argv)

@@ -34,7 +34,6 @@ from qperminv.harness import (
     atomic_write_text,
     fmt17,
     lemma_battery,
-    resolve_workers,
 )
 from qperminv.ops import _checked_bad_lut
 from qperminv.qstate import signed_support
@@ -43,7 +42,6 @@ from qperminv.qstate import signed_support
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("QPERMINV_OUT_DIR", raising=False)
-    monkeypatch.delenv("QPERMINV_WORKERS", raising=False)
 
 
 def read(path):
@@ -113,26 +111,6 @@ def test_atomic_write_permissions_follow_umask(tmp_path):
     with open(tmp_path / "plain.txt", "w") as fh:
         fh.write("x\n")
     assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(tmp_path / "plain.txt").st_mode
-
-
-def test_resolve_workers_clamps_to_cpu_count(monkeypatch):
-    cpus = os.cpu_count() or 1
-    monkeypatch.setenv("QPERMINV_WORKERS", "100000")
-    assert resolve_workers(None) == cpus
-    monkeypatch.setenv("QPERMINV_WORKERS", "0")
-    assert resolve_workers(4) == 1
-    monkeypatch.delenv("QPERMINV_WORKERS")
-    assert resolve_workers(100000) == cpus
-    assert resolve_workers(None) == 1
-
-
-def test_bad_workers_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QPERMINV_WORKERS", "abc")
-    assert main(["run-inv", "--family", "identity", "--n", "2",
-                 "--out", str(tmp_path / "r.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error:") and "QPERMINV_WORKERS" in err
-    assert not (tmp_path / "r.csv").exists()
 
 
 def test_gen_perm_bytes_and_manifest(tmp_path, capsys):
@@ -453,23 +431,108 @@ def test_cached_parser_answers_as_a_fresh_one(capsys):
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
 
 
-@pytest.mark.parametrize(
-    "flags,match",
-    [
-        (["--count", "0"], "--count"),
-        (["--n", "1"], "--n"),
-        (["--n", "7"], "--n"),
-        (["--n", "18"], "--n"),
-        (["--k", "0"], "--k"),
-    ],
-    ids=["count-0", "n-1", "n-7", "n-18", "k-0"],
-)
-def test_check_lemmas_rejects_bad_flags(flags, match, capsys):
-    assert main(["check-lemmas", *flags]) == 2
+# Every command with a value that breaks one flag's rule, after valid flags
+# that the later value overrides: (argv, flag, value, rule).
+_N, _NON_NEG, _MASTER = "an even integer in [2, 16]", "an integer >= 0", "an integer in [0, 2^64)"
+_FINITE = "a finite number"
+_FAMILY_N4 = ["--family", "identity", "--n", "4"]
+BAD_FLAGS = [
+    *[(["gen-perm", *_FAMILY_N4], flag, value, rule) for flag, value, rule in (
+        ("--n", "3", _N), ("--n", "18", _N), ("--seed", "-1", _NON_NEG))],
+    *[([command, *_FAMILY_N4], flag, value, rule)
+      for command in ("run-inv", "run-avinv", "test-stages") for flag, value, rule in (
+          ("--n", "0", _N), ("--n", "7", _N), ("--n", "18", _N), ("--seed", "-1", _NON_NEG),
+          ("--master-seed", "-1", _MASTER), ("--master-seed", str(2**64), _MASTER),
+          ("--threshold", "nan", _FINITE), ("--threshold", "inf", _FINITE))],
+    # operator flags are checked where no operator is built from them
+    *[([command, *_FAMILY_N4], flag, value, rule)
+      for command in ("run-avinv", "test-stages") for flag, value, rule in (
+          ("--j-seed", "-1", _NON_NEG), ("--a", "nan", _FINITE), ("--b", "inf", _FINITE))],
+    # checked before any file is opened, and before --k
+    (["run-inv", "--perm-file", "missing.txt"], "--n", "3", _N),
+    (["run-avinv", *_FAMILY_N4, "--j-file", "missing.txt"], "--j-seed", "-2", _NON_NEG),
+    (["run-inv", "--family", "identity", "--k", "-1"], "--n", "5", _N),
+    *[(["params", "--r", "1", "--n", "4"], "--r", value, _FINITE) for value in ("nan", "inf")],
+    *[(["check-lemmas", "--n", "2", "--count", "1"], flag, value, rule) for flag, value, rule in (
+        ("--count", "0", "an integer >= 1"), ("--n", "1", _N), ("--n", "7", _N),
+        ("--n", "18", _N), ("--k", "0", "at least 1"), ("--seed", "-1", _MASTER),
+        ("--seed", str(2**64), _MASTER))],
+]
+
+
+def _flag_rows(lemmas: bool):
+    return [pytest.param(argv, flag, value, rule, id=f"{flag[2:]}-{value}" if lemmas
+                         else f"{argv[0]}-{flag[2:]}-{value}")
+            for argv, flag, value, rule in BAD_FLAGS if (argv[0] == "check-lemmas") == lemmas]
+
+
+def _assert_bad_flag(argv, flag, value, rule, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [*argv, flag, value] + ([] if argv[0] == "params" else ["--out", str(out)])
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
-    assert match in captured.err
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {flag} must be {rule}, got {value}\n"
+
+
+@pytest.mark.parametrize("argv, flag, value, rule", _flag_rows(lemmas=True))
+def test_check_lemmas_rejects_bad_flags(argv, flag, value, rule, tmp_path, capsys):
+    _assert_bad_flag(argv, flag, value, rule, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv, flag, value, rule", _flag_rows(lemmas=False))
+def test_bad_flag_values_are_usage_errors(argv, flag, value, rule, tmp_path, capsys):
+    _assert_bad_flag(argv, flag, value, rule, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen-perm", "--family", "identity", "--n", "2"], id="gen-perm-n2"),
+    pytest.param(["gen-perm", "--family", "random", "--n", "16", "--seed", "0"], id="gen-perm-n16"),
+    pytest.param(["gen-perm", "--family", "random", "--n", "2", "--seed", str(2**70)],
+                 id="gen-perm-seed-2**70"),
+    pytest.param(["run-inv", "--family", "random", "--n", "16", "--seed", "0", "--x", "0,1",
+                  "--master-seed", str(2**64 - 1)], id="run-inv-n16"),
+    pytest.param(["run-avinv", "--family", "random", "--n", "2", "--seed", "0", "--j-seed", "0",
+                  "--a", "1", "--b", "1", "--bad-size", "0", "--master-seed", str(2**64 - 1),
+                  "--x", "sample:2", "--workers", "-3"], id="run-avinv-edges"),
+    pytest.param(["test-stages", "--family", "random", "--n", "2", "--seed", "0",
+                  "--master-seed", "0", "--threshold", "0"], id="test-stages-seed-0"),
+    pytest.param(["check-lemmas", "--n", "2", "--count", "1", "--seed", str(2**64 - 1)],
+                 id="check-lemmas-seed-2**64-1"),
+    pytest.param(["check-lemmas", "--n", "2", "--count", "1", "--seed", "0"],
+                 id="check-lemmas-seed-0"),
+])
+def test_edge_flag_values_are_accepted(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "" and out.exists()
+
+
+def test_params_n_keeps_its_own_rule(capsys):
+    assert main(["params", "--r", "1", "--n", "18"]) == 0
+    assert main(["params", "--r", "1", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: n must be even and >= 2, got 3\n"
+
+
+def test_sweep_config_keys_share_the_flag_rules(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, master_seed=2**64 - 1)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    for overrides, message in (
+            ({"master_seed": 2**64},
+             "master_seed must be an integer in [0, 2^64), got 18446744073709551616"),
+            ({"master_seed": -1}, "master_seed must be an integer in [0, 2^64), got -1"),
+            ({"grid": {"n": [5], "family": [], "a": [], "bad_size": []}},
+             "grid n values must be an even integer in [2, 16], got 5")):
+        cfg = sweep_config(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: invalid sweep config: {message}\n"
+
+
+def test_workers_env_is_not_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("QPERMINV_WORKERS", "abc")
+    assert main(["run-inv", "--family", "identity", "--n", "2",
+                 "--out", str(tmp_path / "r.csv")]) == 0
 
 
 @pytest.mark.parametrize("command", ["run-avinv", "test-stages"])
@@ -619,6 +682,8 @@ SWEEP_CONFIG_FAULTS = [
                                       c["grid"].update(family=["identity", "random"])))),
     ("j_seed", _broken(lambda c: c.update(j_seed=-3))),
     ("config", [_valid_sweep_config()]),
+    ("master_seed", _broken(lambda c: c.update(master_seed=-1))),
+    ("master_seed", _broken(lambda c: c.update(master_seed=2**64))),
 ]
 
 
