@@ -7,8 +7,9 @@ params. Exit codes: 0 success, 1 failed validation or failed bound/stage,
 Flag values are checked before any work, by the rules of the sweep config's
 keys: --n an even integer in [2, 16] (params has its own), --seed, --j-seed
 integers >= 0, --master-seed and check-lemmas' --seed integers in [0, 2^64),
---count an integer >= 1, --threshold, --a, --b and --r finite numbers. --k's
-least value depends on the command; --workers is accepted and ignored.
+--mask an integer >= 0, --count an integer >= 1, --threshold, --a, --b and
+--r finite numbers. --k's least value depends on the command; --workers is
+accepted and ignored. Every usage error prints one line.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _FINITE = (math.isfinite, "a finite number")
 # of the same meaning; a flag is checked wherever it is given, read or not
 _FLAG_RULES = {
     "n": _GRID_RULES["n"], "seed": _SWEEP_RULES["perm_seed"], "j_seed": _SWEEP_RULES["j_seed"],
-    "master_seed": _SWEEP_RULES["master_seed"], "count": _at_least(1),
+    "master_seed": _SWEEP_RULES["master_seed"], "count": _at_least(1), "mask": _at_least(0),
     "threshold": _FINITE, "a": _FINITE, "b": _FINITE, "r": _FINITE,
 }
 # check-lemmas' --seed is the battery's master seed; params' --n keeps
@@ -300,10 +301,19 @@ def cmd_params(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports its own parse errors (an unknown flag, a value of the wrong
+    type, a missing value) as one `error:` line with exit 2, without the
+    usage block. Its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: a parse keeps no state in it."""
-    parser = argparse.ArgumentParser(prog="qperminv", description=__doc__)
+    parser = _Parser(prog="qperminv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-perm", help="write a permutation file")

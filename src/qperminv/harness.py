@@ -39,6 +39,7 @@ from .ops import (
     _checked_bad_lut,
     _draw_operator,
     _sines,
+    bad_set_capacity,
     build_pseudo_identity,
 )
 from .perm import DEFAULT_MAX_BITS, FAMILIES, Permutation, build_permutation
@@ -307,104 +308,136 @@ def _check_entry(name: str, measured: float, bound: float, passed: bool) -> dict
 # Cosines the randomized suite holds at once. Per-chunk cost is small from
 # about 2^12 on, and a larger chunk raises the peak memory of `check-lemmas`.
 SUITE_CHUNK = 1 << 12
+# Instances whose parameters are drawn at once: a block's n = 2 instances fill
+# one chunk.
+SUITE_BLOCK = SUITE_CHUNK >> 2
+SUITE_A = (0.0, 1e-6, 1e-3)
+SUITE_B = (0.0, 1.0 / 16.0, 1.0 / 4.0)
 
 
-def _suite_chunk(ns, a, cosines, bads, supports, flips) -> tuple[np.ndarray, ...]:
+def _suite_chunk(ns, a, values, bad_keys, s_keys, s_ptr, t_keys, t_ptr) -> tuple[np.ndarray, ...]:
     """|S|, |S ∩ bad| and d = mean_S (1 - c) for a chunk of randomized
-    instances, given per instance as n, a, cosines, sorted bad set, S and T.
+    instances. Instance i has the 2^ns[i] cosines that follow its base in the
+    concatenated `values`, and a key is a main value plus its instance's base.
+    `bad_keys` holds every instance's bad set; instance i's S and T are
+    s_keys[s_ptr[i]:s_ptr[i + 1]] and t_keys[t_ptr[i]:t_ptr[i + 1]].
 
-    Each instance's members are offset by its base in the concatenated
-    cosines, and every instance is checked at once as `_checked_bad_lut` and
+    Every instance is checked at once as `_checked_bad_lut` and
     `signed_support` check one; S must also hold no member twice. Each d is a
     reduce over its own sorted segment, so it equals `np.mean` on that S."""
     sizes = np.left_shift(1, np.asarray(ns, dtype=np.int64))
     base = np.cumsum(sizes) - sizes
-    values = np.concatenate(cosines)
-    bad_keys = np.concatenate(bads) + np.repeat(base, [bad.size for bad in bads])
     lut = _checked_bad_lut(values, bad_keys, a, base)
-    s_size = np.array([support.size for support in supports])
+
+    def owned(keys, ptr):  # each key inside its own instance's range
+        owner = np.repeat(np.arange(sizes.size), np.diff(ptr))
+        return (keys >= base[owner]) & (keys < base[owner] + sizes[owner]), owner
+
+    s_size = np.diff(s_ptr)
     if not s_size.all():
         raise ValueError("support must be nonempty")
-    owner = np.repeat(np.arange(sizes.size), s_size)
-    members = np.concatenate(supports)
-    outside = (members < 0) | (members >= sizes[owner])
-    if outside.any():
-        raise ValueError(f"support member out of range for {ns[owner[outside.argmax()]]} bits")
-    keys = np.sort(members + base[owner])
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("support members must be distinct")
+    inside, owner = owned(s_keys, s_ptr)
+    if not inside.all():
+        raise ValueError(f"support member out of range for {ns[owner[inside.argmin()]]} bits")
     in_support = np.zeros(values.size, dtype=bool)
-    in_support[keys] = True
-    owner = np.repeat(np.arange(sizes.size), [flipped.size for flipped in flips])
-    flipped = np.concatenate(flips)
-    if not (((flipped >= 0) & (flipped < sizes[owner])).all()
-            and in_support[flipped + base[owner]].all()):
+    in_support[s_keys] = True
+    keys = np.flatnonzero(in_support)  # sorted, so each instance's S is one segment
+    if keys.size != s_keys.size:
+        raise ValueError("support members must be distinct")
+    inside = owned(t_keys, t_ptr)[0]
+    if not (inside.all() and in_support[t_keys].all()):
         raise ValueError("flipped set must be a subset of the support")
-    starts = np.cumsum(s_size) - s_size
+    starts = s_ptr[:-1]
     s_bad = np.add.reduceat(lut[keys], starts, dtype=np.int64)
     gaps = 1.0 - values[keys]
-    ends = starts + s_size
-    sums = [np.add.reduce(gaps[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())]
+    sums = [np.add.reduce(gaps[lo:hi]) for lo, hi in zip(starts.tolist(), s_ptr[1:].tolist())]
     return s_size, s_bad, np.array(sums) / s_size
+
+
+def _suite_group(rng, n: int, params: np.ndarray) -> tuple:
+    """Draw a group of instances of one size n, with the given parameter rows,
+    as `_suite_chunk` takes them: |S|, |T|, the bad order (of the rows with a
+    bad set), the S order and the uniforms behind the cosines, each in one
+    call. A bad set is the first capacity members of its row's bad order, S
+    the first |S| of its S order and T the first |T| of the same order."""
+    size = 1 << n
+    count = params.shape[0]
+    a = np.take(SUITE_A, params[:, 1])
+    capacity = np.take([bad_set_capacity(n, b) for b in SUITE_B], params[:, 2])
+    s_size = rng.integers(1, size + 1, size=count)
+    t_size = rng.integers(0, s_size + 1)
+    rows = np.broadcast_to(np.arange(size, dtype=np.uint16), (count, size))
+    bad_order = rng.permuted(rows[capacity > 0], axis=1)
+    s_order = rng.permuted(rows, axis=1)
+    uniform = rng.random((count, size))
+    base = np.arange(count, dtype=np.int64) * size
+    rank = np.arange(size)
+
+    def keys(order, taken):  # the first taken[i] of row i, offset by its base, and offsets
+        return (order[rank < taken[:, None]] + np.repeat(base, taken),
+                np.concatenate(([0], np.cumsum(taken))))
+
+    # good cosines: 1 - a (worst-case) or uniform on [1 - a, 1] (random)
+    values = np.where(params[:, 4, None] == ANGLE_MODES.index("random"),
+                      1.0 - a[:, None] * uniform, (1.0 - a)[:, None]).ravel()
+    bad_keys = bad_order[rank < capacity[capacity > 0, None]] + np.repeat(base, capacity)
+    # bad cosines: 0 (full-rotation) or uniform on [-1, 1] (random-angle)
+    random_bad = np.repeat(params[:, 3] == BAD_MODES.index("random-angle"), capacity)
+    values[bad_keys] = np.where(random_bad, 2.0 * uniform.ravel()[bad_keys] - 1.0, 0.0)
+    return (np.full(count, n), a, values, bad_keys, *keys(s_order, s_size),
+            *keys(s_order, t_size))
+
+
+def _suite_draws(n_max: int, count: int, seed: int):
+    """The randomized suite, one group at a time: the instances' indices in
+    draw order, their parameter rows (n/2, a, b, bad mode and angle mode as
+    indices into their choices) and their `_suite_chunk` input.
+
+    One generator draws everything. Per block of SUITE_BLOCK instances, one
+    call draws the parameter rows; then each size class n = 2, 4, .., n_max in
+    turn draws its instances in groups of at most SUITE_CHUNK cosines (an
+    instance with n >= 12 is a group alone), with `_suite_group`."""
+    rng = np.random.default_rng(derive_seed(seed, "lemma-suite"))
+    low, high = (1, 0, 0, 0, 0), (n_max // 2 + 1, len(SUITE_A), len(SUITE_B), 2, 2)
+    for first in range(0, count, SUITE_BLOCK):
+        params = rng.integers(low, high, size=(min(SUITE_BLOCK, count - first), 5))
+        for half in range(1, n_max // 2 + 1):
+            members = np.flatnonzero(params[:, 0] == half)
+            step = max(1, SUITE_CHUNK >> 2 * half)
+            for lo in range(0, members.size, step):
+                at = members[lo:lo + step]
+                yield first + at, params[at], _suite_group(rng, 2 * half, params[at])
 
 
 def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -> list[dict]:
     """The check-lemmas battery: randomized bound suites, exhaustive
     expectation identities, residual aggregates, and the parameter calculus.
 
-    A randomized instance builds no operator. The loop makes its draws, in a
-    fixed order, and holds them until the next instance would take the held
-    cosines past SUITE_CHUNK (a larger instance is a chunk alone). Each chunk
-    is checked and reduced at once (`_suite_chunk`) to the a, |S|,
-    |S ∩ bad| and d from which `_margins` gives both entries, as it does in
+    A randomized instance builds no operator. `_suite_draws` draws the
+    instances in bulk, a group of one size at a time, and each group is
+    checked and reduced at once (`_suite_chunk`) to the a, |S|, |S ∩ bad| and
+    d from which `_margins` gives both entries, as it does in
     `check_error_length_bound` and `check_residual_bound`. Only each entry's
-    first least-margin instance and pass flag are kept. The exhaustive sweeps'
-    tagged stages j = 0 .. n/2 - 1 and plain j = 1 .. n/2 are the levels
-    0 .. n/2 of one pass per operator."""
-    rng = np.random.default_rng(derive_seed(seed, "lemma-suite"))
-    a_choices = (0.0, 1e-6, 1e-3)
-    b_choices = (0.0, 1.0 / 16.0, 1.0 / 4.0)
-    # n / 2, a, b, bad mode, angle mode and operator seed in one call: the same
-    # stream as one call per parameter
-    low, high = np.array((1, 0, 0, 0, 0, 0)), np.array((n_max // 2 + 1, 3, 3, 2, 2, 2**32))
-    chunk = ([], [], [], [], [], [])  # n, a, cosines, bad set, S, T
-    held = 0
-    worst = [None, None]  # (measured, bound, margin) per entry
+    first least-margin instance, in draw order, and pass flag are kept. The
+    exhaustive sweeps' tagged stages j = 0 .. n/2 - 1 and plain j = 1 .. n/2
+    are the levels 0 .. n/2 of one pass per operator."""
+    worst = [None, None]  # (margin, index, measured, bound) per entry
     passed = [True, True]
 
-    def fold(entry, measured, bound):
+    def fold(entry, index, measured, bound):
         margin = bound - measured
-        i = int(np.argmin(margin))
-        if worst[entry] is None or margin[i] < worst[entry][2]:
-            worst[entry] = (measured[i], bound[i], margin[i])
+        i = int(np.argmin(margin))  # the first least margin of the group
+        least = (float(margin[i]), int(index[i]), float(measured[i]), float(bound[i]))
+        if worst[entry] is None or least[:2] < worst[entry][:2]:
+            worst[entry] = least
         passed[entry] = passed[entry] and bool(np.all(margin >= -BOUND_TOL))
 
-    def reduce_chunk():
+    for index, _, chunk in _suite_draws(n_max, count, seed):
         s_size, s_bad, d = _suite_chunk(*chunk)
-        length, bound, perp = _margins(np.array(chunk[1]), s_size, s_bad, d)
-        fold(0, length, bound)
-        fold(1, perp, length)
-        for part in chunk:
-            part.clear()
-
-    for _ in range(count):
-        half, a_at, b_at, bad_at, angle_at, op_seed = rng.integers(low, high).tolist()
-        n = 2 * half
-        size = 1 << n
-        if held and held + size > SUITE_CHUNK:
-            reduce_chunk()
-            held = 0
-        held += size
-        a = a_choices[a_at]
-        bad, cosines = _draw_operator(n, a, b_choices[b_at], BAD_MODES[bad_at],
-                                      ANGLE_MODES[angle_at], op_seed)
-        s_size = int(rng.integers(1, size + 1))
-        support = rng.choice(size, size=s_size, replace=False)
-        flipped = rng.choice(support, size=int(rng.integers(0, s_size + 1)), replace=False)
-        for part, value in zip(chunk, (n, a, cosines, bad, support, flipped)):
-            part.append(value)
-    reduce_chunk()
-    checks = [_check_entry(name, *worst[entry][:2], passed[entry])
+        length, bound, perp = _margins(chunk[1], s_size, s_bad, d)
+        fold(0, index, length, bound)
+        fold(1, index, perp, length)
+    checks = [_check_entry(name, *worst[entry][2:], passed[entry])
               for entry, name in enumerate(("error-length-bound", "orthogonal-residual-bound"))]
 
     n = n_max

@@ -29,13 +29,16 @@ from qperminv import harness
 from qperminv.cli import build_parser, main
 from qperminv.harness import (
     RUN_CSV_COLUMNS,
+    SUITE_A,
+    SUITE_B,
     SWEEP_CSV_COLUMNS,
     _suite_chunk,
+    _suite_draws,
     atomic_write_text,
     fmt17,
     lemma_battery,
 )
-from qperminv.ops import _checked_bad_lut
+from qperminv.ops import ANGLE_MODES, BAD_MODES, _checked_bad_lut, bad_set_capacity
 from qperminv.qstate import signed_support
 
 
@@ -190,6 +193,27 @@ def test_run_inv_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")]) == 2
 
 
+# Errors that argparse itself finds: an unknown flag, a value of the wrong
+# type, a flag without its value and a value that reads as a flag.
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run-inv", "--family", "random", "--n", "4", "--bogus"], id="unknown-flag"),
+    pytest.param(["run-inv", "--family", "random", "--n", "3.5"], id="n-3.5"),
+    pytest.param(["test-stages", "--family", "random", "--n", "4", "--j-seed"],
+                 id="trailing-j-seed"),
+    pytest.param(["run-inv", "--family", "random", "--n", "4", "--threshold", "-inf"],
+                 id="threshold--inf"),
+    pytest.param(["check-lemmas", "--count", "many"], id="count-many"),
+    pytest.param(["gen-perm", "--n", "4"], id="missing-family"),
+    pytest.param([], id="no-command"),
+])
+def test_parse_errors_print_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "usage:" not in captured.err
+
+
 def test_run_avinv_trivial_matches_run_inv(tmp_path):
     exact = tmp_path / "exact.csv"
     approx = tmp_path / "approx.csv"
@@ -253,26 +277,33 @@ def test_check_lemmas_passes_and_reports(tmp_path, capsys):
         assert set(check) == {"name", "measured", "bound", "margin", "pass"}
 
 
+def _suite_instances(n_max, count, seed):
+    """Every randomized instance of the suite as `_suite_draws` draws it, in
+    draw order: its parameter row, n, a, bad set, cosines, S and T, with the
+    members as main values."""
+    instances = {}
+    for index, params, chunk in _suite_draws(n_max, count, seed):
+        ns, a, values, bad_keys, s_keys, s_ptr, t_keys, t_ptr = chunk
+        sizes = np.left_shift(1, ns)
+        for i, base in enumerate((np.cumsum(sizes) - sizes).tolist()):
+            end = base + sizes[i]
+            instances[int(index[i])] = (
+                params[i], int(ns[i]), float(a[i]),
+                bad_keys[(bad_keys >= base) & (bad_keys < end)] - base, values[base:end],
+                s_keys[s_ptr[i]:s_ptr[i + 1]] - base, t_keys[t_ptr[i]:t_ptr[i + 1]] - base)
+    assert sorted(instances) == list(range(count))
+    return [instances[i] for i in range(count)]
+
+
 def _per_instance_entries(n_max, count, seed, k):
-    """The randomized suite's two entries from one built operator and both
-    public bound checks per instance, drawn in the battery's order."""
-    rng = np.random.default_rng(derive_seed(seed, "lemma-suite"))
+    """The randomized suite's two entries from one operator and both public
+    bound checks per drawn instance, in draw order."""
     worst_len = worst_perp = None
     len_ok = perp_ok = True
-    for _ in range(count):
-        n = 2 * int(rng.integers(1, n_max // 2 + 1))
-        a = (0.0, 1e-6, 1e-3)[rng.integers(0, 3)]
-        b = (0.0, 1.0 / 16.0, 1.0 / 4.0)[rng.integers(0, 3)]
-        jop = build_pseudo_identity(
-            n, k, a=a, b=b,
-            bad_mode=("full-rotation", "random-angle")[rng.integers(0, 2)],
-            angle_mode=("worst-case", "random")[rng.integers(0, 2)],
-            seed=int(rng.integers(0, 2**32)),
-        )
-        size = 1 << n
-        s_size = int(rng.integers(1, size + 1))
-        support = rng.choice(size, size=s_size, replace=False)
-        flipped = rng.choice(support, size=int(rng.integers(0, s_size + 1)), replace=False)
+    for params, n, a, bad, cosines, support, flipped in _suite_instances(n_max, count, seed):
+        _, _, b_at, bad_at, angle_at = params.tolist()
+        jop = PseudoIdentity(n, k, a, SUITE_B[b_at], bad, cosines, BAD_MODES[bad_at],
+                             ANGLE_MODES[angle_at])
         rep = check_error_length_bound(jop, support, flipped)
         len_ok = len_ok and rep.passed
         if worst_len is None or rep.margin < worst_len.margin:
@@ -292,14 +323,42 @@ def _per_instance_entries(n_max, count, seed, k):
 
 
 # With many instances the least margin is 0, met by an instance whose cosines
-# on S are all 1; the short suites have no such instance, so a changed draw
-# order shows in their entries.
+# on S are all 1; the short suites (16, 5, 4, 1) and (4, 3, 1, 1) have no such
+# instance, so a changed draw or fold order shows in their entries.
 @pytest.mark.parametrize("n_max,count,seed,k", [(2, 50, 0, 1), (6, 400, 1, 1),
                                                  (8, 300, 2, 2), (16, 5, 4, 1),
                                                  (4, 3, 1, 1), (8, 4, 0, 2),
                                                  (16, 30, 3, 1), (8, 777, 5, 1)])
 def test_randomized_suite_matches_per_instance_checks(n_max, count, seed, k):
     assert lemma_battery(n_max, count, seed, k)[:2] == _per_instance_entries(n_max, count, seed, k)
+
+
+def test_randomized_suite_draws_follow_the_instance_rules():
+    combinations, n2_extremes = set(), set()
+    for params, n, a, bad, cosines, support, flipped in _suite_instances(8, 10000, 0):
+        half, a_at, b_at, bad_at, angle_at = params.tolist()
+        assert n == 2 * half and a == SUITE_A[a_at] and cosines.size == 1 << n
+        assert bad.size == bad_set_capacity(n, SUITE_B[b_at]) == np.unique(bad).size
+        good = np.delete(cosines, bad)
+        if ANGLE_MODES[angle_at] == "worst-case":
+            assert (good == 1.0 - a).all()
+        else:
+            assert ((good >= 1.0 - a) & (good <= 1.0)).all()
+        if BAD_MODES[bad_at] == "full-rotation":
+            assert (cosines[bad] == 0.0).all()
+        else:
+            assert ((cosines[bad] >= -1.0) & (cosines[bad] <= 1.0)).all()
+        assert 1 <= support.size == np.unique(support).size
+        assert support.min() >= 0 and support.max() < 1 << n
+        assert np.unique(flipped).size == flipped.size and np.isin(flipped, support).all()
+        combinations.add((n, a_at, b_at, bad_at, angle_at))
+        if n == 2:
+            n2_extremes.update(name for name, met in (
+                ("|S| = 1", support.size == 1), ("|S| = 2^n", support.size == 4),
+                ("|T| = 0", flipped.size == 0), ("|T| = |S|", flipped.size == support.size))
+                if met)
+    assert len(combinations) == 4 * len(SUITE_A) * len(SUITE_B) * len(BAD_MODES) * len(ANGLE_MODES)
+    assert n2_extremes == {"|S| = 1", "|S| = 2^n", "|T| = 0", "|T| = |S|"}
 
 
 # The battery's exhaustive residual runs at n_max, bad sizes 1, 2 and 4 with
@@ -325,8 +384,8 @@ def test_markov_entry_is_the_residual_run_nearest_its_limit(n_max, seed, k, pinn
 
 
 def _valid_chunk():
-    """Three instances (n = 2, 4, 2) as `_suite_chunk` takes them: n, a,
-    cosines, sorted bad set, S and T."""
+    """Three instances (n = 2, 4, 2), given per instance: n, a, cosines,
+    sorted bad set, S and T."""
     cosines = [np.array([0.9995, 0.0, 1.0, 0.999]), np.ones(16),
                np.array([1.0 - 1e-6, 1.0, 1.0, -0.5])]
     return ([2, 4, 2], [1e-3, 0.0, 1e-6], cosines,
@@ -335,9 +394,25 @@ def _valid_chunk():
             [np.array([1]), np.array([], dtype=np.int64), np.array([3, 0])])
 
 
+def _packed(ns, a, cosines, bads, supports, flips):
+    """Per-instance lists as `_suite_chunk` takes them: the cosines
+    concatenated, and each member set as keys (member plus its instance's base
+    there) with CSR offsets."""
+    sizes = np.left_shift(1, ns)
+    bases = np.cumsum(sizes) - sizes
+
+    def keys(sets):
+        return (np.concatenate([np.asarray(m, dtype=np.int64) + base
+                                for m, base in zip(sets, bases.tolist())]),
+                np.concatenate(([0], np.cumsum([len(m) for m in sets]))))
+
+    return (ns, np.array(a), np.concatenate(cosines), keys(bads)[0], *keys(supports),
+            *keys(flips))
+
+
 def test_suite_chunk_reduces_each_instance_as_alone():
     ns, a, cosines, bads, supports, flips = _valid_chunk()
-    s_size, s_bad, d = _suite_chunk(ns, a, cosines, bads, supports, flips)
+    s_size, s_bad, d = _suite_chunk(*_packed(ns, a, cosines, bads, supports, flips))
     for i, n in enumerate(ns):
         members = signed_support(supports[i], flips[i], n)[0]
         lut = _checked_bad_lut(cosines[i], bads[i], a[i])
@@ -370,16 +445,16 @@ def test_suite_chunk_refuses_corrupt_instances(field, instance, value, match):
     chunk = _valid_chunk()
     chunk[field][instance] = np.array(value, dtype=chunk[field][instance].dtype)
     with pytest.raises(ValueError, match=match):
-        _suite_chunk(*chunk)
+        _suite_chunk(*_packed(*chunk))
 
 
 def test_suite_chunk_checks_each_good_cosine_against_its_own_a():
     chunk = _valid_chunk()
     chunk[2][0][2] = 1.0 - 1e-3  # at 1 - a for instance 0
-    _suite_chunk(*chunk)
+    _suite_chunk(*_packed(*chunk))
     chunk[2][1][2] = 1.0 - 1e-3  # below 1 - a = 1 for instance 1
     with pytest.raises(ValueError, match="good-state"):
-        _suite_chunk(*chunk)
+        _suite_chunk(*_packed(*chunk))
 
 
 def test_randomized_suite_memory_does_not_grow_with_count():
@@ -457,6 +532,9 @@ BAD_FLAGS = [
         ("--count", "0", "an integer >= 1"), ("--n", "1", _N), ("--n", "7", _N),
         ("--n", "18", _N), ("--k", "0", "at least 1"), ("--seed", "-1", _MASTER),
         ("--seed", str(2**64), _MASTER))],
+    # --mask is checked where no xor-mask permutation reads it
+    *[([command, *_FAMILY_N4], "--mask", "-1", _NON_NEG)
+      for command in ("gen-perm", "run-inv", "run-avinv", "test-stages")],
 ]
 
 
