@@ -30,9 +30,12 @@ IDENTITY_TOL = 1e-12
 
 
 def _deficit(jop: PseudoIdentity, support, flipped) -> tuple[np.ndarray, float]:
-    """S as a checked member array (T is checked too), and d = mean_S (1 - c)."""
+    """S as a checked member array (T is checked too), and d = mean_S (1 - c),
+    summed over all 2^n main values with 0 off S, as `check-lemmas` sums it."""
     members = signed_support(support, flipped, jop.n)[0]
-    return members, float(np.mean(1.0 - jop.cosines[members]))
+    gaps = np.zeros(jop.cosines.size)
+    gaps[members] = 1.0 - jop.cosines[members]
+    return members, float(np.add.reduce(gaps) / members.size)
 
 
 def _margins(a, size, bad, d) -> tuple:

@@ -7,9 +7,9 @@ params. Exit codes: 0 success, 1 failed validation or failed bound/stage,
 Flag values are checked before any work, by the rules of the sweep config's
 keys: --n an even integer in [2, 16] (params has its own), --seed, --j-seed
 integers >= 0, --master-seed and check-lemmas' --seed integers in [0, 2^64),
---mask an integer >= 0, --count an integer >= 1, --threshold, --a, --b and
---r finite numbers. --k's least value depends on the command; --workers is
-accepted and ignored. Every usage error prints one line.
+--mask an integer >= 0, --count an integer in [1, 10^6], --threshold, --a,
+--b and --r finite numbers. --k's least value depends on the command;
+--workers is accepted and ignored. Every usage error prints one line.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from .harness import (
 )
 from .invert import EXACT_THRESHOLD, PSEUDO_THRESHOLD, run_stepwise_test
 from .ops import ANGLE_MODES, BAD_MODES, build_pseudo_identity, parse_pseudo_identity
-from .perm import (
-    FAMILIES,
-    build_permutation,
-    load_permutation,
-    permutation_to_text,
-)
+from .perm import FAMILIES, _read_capped, build_permutation, load_permutation, permutation_to_text
 from .qstate import check_register_sizes
 
 
@@ -65,7 +60,8 @@ _FINITE = (math.isfinite, "a finite number")
 # of the same meaning; a flag is checked wherever it is given, read or not
 _FLAG_RULES = {
     "n": _GRID_RULES["n"], "seed": _SWEEP_RULES["perm_seed"], "j_seed": _SWEEP_RULES["j_seed"],
-    "master_seed": _SWEEP_RULES["master_seed"], "count": _at_least(1), "mask": _at_least(0),
+    "master_seed": _SWEEP_RULES["master_seed"], "mask": _at_least(0),
+    "count": (lambda v: 1 <= v <= 10**6, "an integer in [1, 1000000]"),
     "threshold": _FINITE, "a": _FINITE, "b": _FINITE, "r": _FINITE,
 }
 # check-lemmas' --seed is the battery's master seed; params' --n keeps
@@ -140,8 +136,7 @@ class UsageError(Exception):
 def _resolve_pseudo_identity(args, n: int):
     """Operator from a serialized file when given, else built from the flags."""
     if args.j_file:
-        with open(args.j_file, "r", encoding="ascii") as fh:
-            jop = parse_pseudo_identity(fh.read())
+        jop = parse_pseudo_identity(_read_capped(args.j_file, encoding="ascii"))
         if jop.n != n:
             raise ValueError(f"operator file is for n={jop.n}, permutation has n={n}")
         return jop

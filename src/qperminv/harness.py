@@ -42,7 +42,7 @@ from .ops import (
     bad_set_capacity,
     build_pseudo_identity,
 )
-from .perm import DEFAULT_MAX_BITS, FAMILIES, Permutation, build_permutation
+from .perm import DEFAULT_MAX_BITS, FAMILIES, Permutation, _read_capped, build_permutation
 
 ENV_OUT_DIR = "QPERMINV_OUT_DIR"
 
@@ -220,11 +220,10 @@ def validate_sweep_config(config: dict) -> dict:
 
 
 def load_sweep_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:  # the JSON reader and the repr in a rule's message both recurse
-            return validate_sweep_config(json.load(fh))
-        except RecursionError:
-            raise ValueError("config is nested too deeply") from None
+    try:  # the JSON reader and the repr in a rule's message both recurse
+        return validate_sweep_config(json.loads(_read_capped(path, encoding="utf-8")))
+    except RecursionError:
+        raise ValueError("config is nested too deeply") from None
 
 
 def sweep_rows(config: dict) -> tuple[list[list[str]], dict]:
@@ -324,7 +323,7 @@ def _suite_chunk(ns, a, values, bad_keys, s_keys, s_ptr, t_keys, t_ptr) -> tuple
 
     Every instance is checked at once as `_checked_bad_lut` and
     `signed_support` check one; S must also hold no member twice. Each d is a
-    reduce over its own sorted segment, so it equals `np.mean` on that S."""
+    row reduce of 1 - c with 0 off S, as `analysis._deficit` sums one S."""
     sizes = np.left_shift(1, np.asarray(ns, dtype=np.int64))
     base = np.cumsum(sizes) - sizes
     lut = _checked_bad_lut(values, bad_keys, a, base)
@@ -347,45 +346,53 @@ def _suite_chunk(ns, a, values, bad_keys, s_keys, s_ptr, t_keys, t_ptr) -> tuple
     inside = owned(t_keys, t_ptr)[0]
     if not (inside.all() and in_support[t_keys].all()):
         raise ValueError("flipped set must be a subset of the support")
-    starts = s_ptr[:-1]
-    s_bad = np.add.reduceat(lut[keys], starts, dtype=np.int64)
-    gaps = 1.0 - values[keys]
-    sums = [np.add.reduce(gaps[lo:hi]) for lo, hi in zip(starts.tolist(), s_ptr[1:].tolist())]
-    return s_size, s_bad, np.array(sums) / s_size
+    s_bad = np.add.reduceat(lut[keys], s_ptr[:-1], dtype=np.int64)
+    gaps = np.where(in_support, 1.0 - values, 0.0)
+    d = np.empty(sizes.size)
+    for n in np.flatnonzero(np.bincount(ns)).tolist():  # a drawn group has one n
+        at = np.flatnonzero(sizes == 1 << n)
+        rows = (gaps.reshape(-1, 1 << n) if at.size == sizes.size
+                else gaps[base[at, None] + np.arange(1 << n)])
+        d[at] = np.add.reduce(rows, axis=1)
+    return s_size, s_bad, d / s_size
+
+
+def _least(keys: np.ndarray, order: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Row i's taken[i] least keys as a mask, from the sorted rows `order`; ties go by index."""
+    kth = np.where(taken > 0, order[np.arange(taken.size), taken - 1], -1.0)[:, None]
+    mask = keys <= kth
+    if np.count_nonzero(mask) > taken.sum():
+        tied = keys == kth
+        mask &= ~tied | (np.cumsum(tied, axis=1) <= (taken - (keys < kth).sum(axis=1))[:, None])
+    return mask
 
 
 def _suite_group(rng, n: int, params: np.ndarray) -> tuple:
-    """Draw a group of instances of one size n, with the given parameter rows,
-    as `_suite_chunk` takes them: |S|, |T|, the bad order (of the rows with a
-    bad set), the S order and the uniforms behind the cosines, each in one
-    call. A bad set is the first capacity members of its row's bad order, S
-    the first |S| of its S order and T the first |T| of the same order."""
+    """A group of instances of one size n, with the given parameter rows, as
+    `_suite_chunk` takes them. After |S| and |T|, one call draws the cosines'
+    uniforms and the key rows: S and T are the |S| and |T| least keys of one
+    row, the bad set (if any) the capacity least of another (`_least`)."""
     size = 1 << n
     count = params.shape[0]
     a = np.take(SUITE_A, params[:, 1])
     capacity = np.take([bad_set_capacity(n, b) for b in SUITE_B], params[:, 2])
     s_size = rng.integers(1, size + 1, size=count)
     t_size = rng.integers(0, s_size + 1)
-    rows = np.broadcast_to(np.arange(size, dtype=np.uint16), (count, size))
-    bad_order = rng.permuted(rows[capacity > 0], axis=1)
-    s_order = rng.permuted(rows, axis=1)
-    uniform = rng.random((count, size))
-    base = np.arange(count, dtype=np.int64) * size
-    rank = np.arange(size)
-
-    def keys(order, taken):  # the first taken[i] of row i, offset by its base, and offsets
-        return (order[rank < taken[:, None]] + np.repeat(base, taken),
-                np.concatenate(([0], np.cumsum(taken))))
-
+    uniform, s_key, bad_key = np.split(
+        rng.random((2 * count + np.count_nonzero(capacity), size)), (count, 2 * count))
+    order = np.sort(s_key, axis=1)
+    in_bad = np.zeros((count, size), dtype=bool)
+    in_bad[capacity > 0] = _least(bad_key, np.sort(bad_key, axis=1), capacity[capacity > 0])
     # good cosines: 1 - a (worst-case) or uniform on [1 - a, 1] (random)
     values = np.where(params[:, 4, None] == ANGLE_MODES.index("random"),
                       1.0 - a[:, None] * uniform, (1.0 - a)[:, None]).ravel()
-    bad_keys = bad_order[rank < capacity[capacity > 0, None]] + np.repeat(base, capacity)
+    bad_keys = np.flatnonzero(in_bad)
     # bad cosines: 0 (full-rotation) or uniform on [-1, 1] (random-angle)
     random_bad = np.repeat(params[:, 3] == BAD_MODES.index("random-angle"), capacity)
     values[bad_keys] = np.where(random_bad, 2.0 * uniform.ravel()[bad_keys] - 1.0, 0.0)
-    return (np.full(count, n), a, values, bad_keys, *keys(s_order, s_size),
-            *keys(s_order, t_size))
+    return (np.full(count, n), a, values, bad_keys,
+            np.flatnonzero(_least(s_key, order, s_size)), np.append(0, np.cumsum(s_size)),
+            np.flatnonzero(_least(s_key, order, t_size)), np.append(0, np.cumsum(t_size)))
 
 
 def _suite_draws(n_max: int, count: int, seed: int):

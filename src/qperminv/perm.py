@@ -199,5 +199,16 @@ def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
 
 
 def load_permutation(path) -> Permutation:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return permutation_from_text(fh.read())
+    return permutation_from_text(_read_capped(path, encoding="ascii", newline=""))
+
+
+# twice the largest valid file: about 2^(n+1) rows of under 32 characters
+_MAX_FILE_CHARS = 128 << DEFAULT_MAX_BITS
+
+
+def _read_capped(path, **options) -> str:
+    with open(path, "r", **options) as fh:
+        text = fh.read(_MAX_FILE_CHARS + 1)
+    if len(text) > _MAX_FILE_CHARS:
+        raise ValueError(f"{path} is longer than {_MAX_FILE_CHARS} bytes")
+    return text

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,19 +27,23 @@ from qperminv import (
     serialize_pseudo_identity,
 )
 from qperminv import harness
+from qperminv.analysis import _deficit
 from qperminv.cli import build_parser, main
 from qperminv.harness import (
     RUN_CSV_COLUMNS,
     SUITE_A,
     SUITE_B,
+    SUITE_CHUNK,
     SWEEP_CSV_COLUMNS,
     _suite_chunk,
     _suite_draws,
+    _suite_group,
     atomic_write_text,
     fmt17,
     lemma_battery,
 )
 from qperminv.ops import ANGLE_MODES, BAD_MODES, _checked_bad_lut, bad_set_capacity
+from qperminv.perm import _MAX_FILE_CHARS, load_permutation
 from qperminv.qstate import signed_support
 
 
@@ -323,12 +328,14 @@ def _per_instance_entries(n_max, count, seed, k):
 
 
 # With many instances the least margin is 0, met by an instance whose cosines
-# on S are all 1; the short suites (16, 5, 4, 1) and (4, 3, 1, 1) have no such
-# instance, so a changed draw or fold order shows in their entries.
+# on S are all 1; the short suites (4, 3, 1, 1) and (16, 5, 1, 1) have no such
+# instance, so a changed draw or fold order shows in their entries. In the
+# second, the two entries come from different instances.
 @pytest.mark.parametrize("n_max,count,seed,k", [(2, 50, 0, 1), (6, 400, 1, 1),
                                                  (8, 300, 2, 2), (16, 5, 4, 1),
                                                  (4, 3, 1, 1), (8, 4, 0, 2),
-                                                 (16, 30, 3, 1), (8, 777, 5, 1)])
+                                                 (16, 30, 3, 1), (8, 777, 5, 1),
+                                                 (16, 5, 1, 1)])
 def test_randomized_suite_matches_per_instance_checks(n_max, count, seed, k):
     assert lemma_battery(n_max, count, seed, k)[:2] == _per_instance_entries(n_max, count, seed, k)
 
@@ -359,6 +366,69 @@ def test_randomized_suite_draws_follow_the_instance_rules():
                 if met)
     assert len(combinations) == 4 * len(SUITE_A) * len(SUITE_B) * len(BAD_MODES) * len(ANGLE_MODES)
     assert n2_extremes == {"|S| = 1", "|S| = 2^n", "|T| = 0", "|T| = |S|"}
+
+
+class _TiedKeys:
+    """A generator whose uniforms take only `levels` values, so that keys tie
+    at the thresholds; it keeps the integers it draws (|S|, then |T|)."""
+
+    def __init__(self, seed, levels):
+        self.rng, self.levels, self.drawn = np.random.default_rng(seed), levels, []
+
+    def integers(self, *args, **kwargs):
+        self.drawn.append(self.rng.integers(*args, **kwargs))
+        return self.drawn[-1]
+
+    def random(self, shape):
+        return np.floor(self.rng.random(shape) * self.levels) / self.levels
+
+
+@pytest.mark.parametrize("n,levels", [(2, 1), (2, 3), (4, 1), (4, 5), (8, 2), (8, 7)])
+def test_suite_group_handles_key_ties(n, levels):
+    count = max(1, SUITE_CHUNK >> n)
+    # every a, b and mode combination in turn
+    params = np.stack([np.full(count, n // 2), *np.unravel_index(
+        np.arange(count) % 36, (len(SUITE_A), len(SUITE_B), 2, 2))], axis=1)
+    rng = _TiedKeys(n, levels)
+    chunk = _suite_group(rng, n, params)
+    s_size = _suite_chunk(*chunk)[0]  # every check passes
+    bad_keys, s_keys, t_keys, t_ptr = chunk[3], chunk[4], chunk[6], chunk[7]
+    drawn_s, drawn_t = rng.drawn
+    capacity = np.take([bad_set_capacity(n, b) for b in SUITE_B], params[:, 2])
+
+    def owner(keys):  # members per instance
+        return np.bincount(keys >> n, minlength=count)
+
+    assert (s_size == drawn_s).all() and (owner(s_keys) == drawn_s).all()
+    assert (np.diff(t_ptr) == drawn_t).all() and (owner(t_keys) == drawn_t).all()
+    assert (owner(bad_keys) == capacity).all() and np.isin(t_keys, s_keys).all()
+    if levels == 1:  # every key ties: each set is the lowest main values of its row
+        for keys, taken in ((s_keys, drawn_s), (t_keys, drawn_t), (bad_keys, capacity)):
+            lowest = [(i << n) + np.arange(k) for i, k in enumerate(taken.tolist())]
+            assert np.array_equal(keys, np.concatenate(lowest))
+
+
+def test_randomized_suite_subsets_are_uniform():
+    """At n = 2 and 4, each main value's count in S given (n, |S|), in T
+    given (n, |T|) and in the bad set given (n, capacity) is within 5 sigma of
+    N k / 2^n, for the N instances of that class. Given (|S|, |T|), a value
+    is in T with probability |T| / 2^n whatever |S| is, so T's classes pool
+    over |S|."""
+    hits, total = {}, {}
+
+    def tally(key, n, members):
+        hits.setdefault(key, np.zeros(1 << n, dtype=np.int64))[members] += 1
+        total[key] = total.get(key, 0) + 1
+
+    for _, n, _, bad, _, support, flipped in _suite_instances(4, 20000, 7):
+        tally(("S", n, support.size), n, support)
+        tally(("T", n, flipped.size), n, flipped)
+        tally(("bad", n, bad.size), n, bad)
+    assert {(set_, n) for set_, n, _ in hits} == {(s, n) for s in ("S", "T", "bad") for n in (2, 4)}
+    for (set_, n, k), counts in hits.items():
+        p = k / (1 << n)
+        expected, sigma = total[set_, n, k] * p, math.sqrt(total[set_, n, k] * p * (1 - p))
+        assert (np.abs(counts - expected) <= 5 * sigma).all(), (set_, n, k, counts, expected)
 
 
 # The battery's exhaustive residual runs at n_max, bad sizes 1, 2 and 4 with
@@ -417,8 +487,19 @@ def test_suite_chunk_reduces_each_instance_as_alone():
         members = signed_support(supports[i], flips[i], n)[0]
         lut = _checked_bad_lut(cosines[i], bads[i], a[i])
         assert s_size[i] == members.size and s_bad[i] == lut[members].sum()
-        assert d[i] == np.mean(1.0 - cosines[i][members])
+        assert d[i] == _deficit(SimpleNamespace(n=n, cosines=cosines[i]), supports[i], flips[i])[1]
     assert s_bad.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("n_max,count,seed", [(8, 300, 2), (16, 30, 3)])
+def test_suite_chunk_d_is_the_per_instance_deficit(n_max, count, seed):
+    """Every drawn instance's d equals `_deficit` on it with ==, also where
+    summing S alone (np.mean) would round otherwise."""
+    instances = _suite_instances(n_max, count, seed)
+    for index, _, chunk in _suite_draws(n_max, count, seed):
+        for i, d in zip(index.tolist(), _suite_chunk(*chunk)[2].tolist()):
+            _, n, _, _, cosines, support, flipped = instances[i]
+            assert d == _deficit(SimpleNamespace(n=n, cosines=cosines), support, flipped)[1]
 
 
 # (field, instance, new value, message); fields index `_valid_chunk`'s tuple.
@@ -509,7 +590,7 @@ def test_cached_parser_answers_as_a_fresh_one(capsys):
 # Every command with a value that breaks one flag's rule, after valid flags
 # that the later value overrides: (argv, flag, value, rule).
 _N, _NON_NEG, _MASTER = "an even integer in [2, 16]", "an integer >= 0", "an integer in [0, 2^64)"
-_FINITE = "a finite number"
+_FINITE, _COUNT = "a finite number", "an integer in [1, 1000000]"
 _FAMILY_N4 = ["--family", "identity", "--n", "4"]
 BAD_FLAGS = [
     *[(["gen-perm", *_FAMILY_N4], flag, value, rule) for flag, value, rule in (
@@ -529,12 +610,15 @@ BAD_FLAGS = [
     (["run-inv", "--family", "identity", "--k", "-1"], "--n", "5", _N),
     *[(["params", "--r", "1", "--n", "4"], "--r", value, _FINITE) for value in ("nan", "inf")],
     *[(["check-lemmas", "--n", "2", "--count", "1"], flag, value, rule) for flag, value, rule in (
-        ("--count", "0", "an integer >= 1"), ("--n", "1", _N), ("--n", "7", _N),
+        ("--count", "0", _COUNT), ("--n", "1", _N), ("--n", "7", _N),
         ("--n", "18", _N), ("--k", "0", "at least 1"), ("--seed", "-1", _MASTER),
         ("--seed", str(2**64), _MASTER))],
     # --mask is checked where no xor-mask permutation reads it
     *[([command, *_FAMILY_N4], "--mask", "-1", _NON_NEG)
       for command in ("gen-perm", "run-inv", "run-avinv", "test-stages")],
+    # refused before the battery runs, whose time grows with --count
+    *[(["check-lemmas", "--n", "2", "--count", "1"], "--count", value, _COUNT)
+      for value in ("1000001", "99999999999999999999")],
 ]
 
 
@@ -1029,9 +1113,7 @@ REFUSED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", REFUSED_INPUTS)
-def test_refused_input_files_give_one_error_line(case, tmp_path, capsys):
-    code, match, name, text = REFUSED_INPUTS[case]
+def _assert_refused_input(name, text, code, match, tmp_path, capsys):
     path, out = tmp_path / name, tmp_path / "out.csv"
     path.write_text(text)
     argv = {"config.json": ["sweep", "--config", str(path)],
@@ -1042,3 +1124,26 @@ def test_refused_input_files_give_one_error_line(case, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
     assert match in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_refused_input_files_give_one_error_line(case, tmp_path, capsys):
+    code, match, name, text = REFUSED_INPUTS[case]
+    _assert_refused_input(name, text, code, match, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name,code", [("perm.txt", 1), ("op.txt", 1), ("config.json", 2)])
+def test_input_files_past_the_cap_are_refused(name, code, tmp_path, capsys):
+    text = " " * _MAX_FILE_CHARS + "\n"
+    _assert_refused_input(name, text, code, f"is longer than {_MAX_FILE_CHARS} bytes",
+                          tmp_path, capsys)
+
+
+def test_a_permutation_file_at_the_cap_is_read(tmp_path):
+    rows = "n=2\n0\n1\n2\n3"
+    path = tmp_path / "perm.txt"
+    path.write_text(rows + " " * (_MAX_FILE_CHARS - len(rows) - 1) + "\n")
+    assert load_permutation(path).table.tolist() == [0, 1, 2, 3]
+    path.write_text(rows + " " * (_MAX_FILE_CHARS - len(rows)) + "\n")
+    with pytest.raises(ValueError, match="longer than"):
+        load_permutation(path)
