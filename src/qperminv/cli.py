@@ -136,7 +136,7 @@ class UsageError(Exception):
 def _resolve_pseudo_identity(args, n: int):
     """Operator from a serialized file when given, else built from the flags."""
     if args.j_file:
-        jop = parse_pseudo_identity(_read_capped(args.j_file, encoding="ascii"))
+        jop = parse_pseudo_identity(_read_capped(args.j_file, "ascii"))
         if jop.n != n:
             raise ValueError(f"operator file is for n={jop.n}, permutation has n={n}")
         return jop

@@ -46,10 +46,11 @@ class Permutation:
         size = 1 << n
         if table.shape != (size,):
             raise ValueError(f"table must have exactly {size} entries, got shape {table.shape}")
-        if not np.array_equal(np.sort(table), np.arange(size)):
+        inverse = np.full(size, -1, dtype=np.int64)
+        if table.min() >= 0 and table.max() < size:  # a negative index would wrap round
+            inverse[table] = np.arange(size, dtype=np.int64)
+        if inverse.min() < 0:  # some value is no entry's image
             raise ValueError("table is not a bijection on [0, 2^n)")
-        inverse = np.empty(size, dtype=np.int64)
-        inverse[table] = np.arange(size, dtype=np.int64)
         self.n = int(n)
         self.table = table
         self.inverse_table = inverse
@@ -199,16 +200,17 @@ def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
 
 
 def load_permutation(path) -> Permutation:
-    return permutation_from_text(_read_capped(path, encoding="ascii", newline=""))
+    return permutation_from_text(_read_capped(path, "ascii"))
 
 
-# twice the largest valid file: about 2^(n+1) rows of under 32 characters
-_MAX_FILE_CHARS = 128 << DEFAULT_MAX_BITS
+# twice the largest valid file: about 2^(n+1) rows of under 32 bytes
+_MAX_FILE_BYTES = 128 << DEFAULT_MAX_BITS
 
 
-def _read_capped(path, **options) -> str:
-    with open(path, "r", **options) as fh:
-        text = fh.read(_MAX_FILE_CHARS + 1)
-    if len(text) > _MAX_FILE_CHARS:
-        raise ValueError(f"{path} is longer than {_MAX_FILE_CHARS} bytes")
-    return text
+def _read_capped(path, encoding: str) -> str:
+    """The decoded file, refused unread past _MAX_FILE_BYTES bytes; line ends stay as written."""
+    with open(path, "rb") as fh:
+        data = fh.read(_MAX_FILE_BYTES + 1)
+    if len(data) > _MAX_FILE_BYTES:
+        raise ValueError(f"{path} is longer than {_MAX_FILE_BYTES} bytes")
+    return data.decode(encoding)

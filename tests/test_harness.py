@@ -43,7 +43,7 @@ from qperminv.harness import (
     lemma_battery,
 )
 from qperminv.ops import ANGLE_MODES, BAD_MODES, _checked_bad_lut, bad_set_capacity
-from qperminv.perm import _MAX_FILE_CHARS, load_permutation
+from qperminv.perm import _MAX_FILE_BYTES, load_permutation
 from qperminv.qstate import signed_support
 
 
@@ -366,6 +366,12 @@ def test_randomized_suite_draws_follow_the_instance_rules():
                 if met)
     assert len(combinations) == 4 * len(SUITE_A) * len(SUITE_B) * len(BAD_MODES) * len(ANGLE_MODES)
     assert n2_extremes == {"|S| = 1", "|S| = 2^n", "|T| = 0", "|T| = |S|"}
+
+
+@pytest.mark.parametrize("n_max,count", [(8, 5000), (12, 5000), (16, 800)])
+def test_randomized_suite_groups_keep_to_the_cosine_budget(n_max, count):
+    for index, _, chunk in _suite_draws(n_max, count, 0):
+        assert index.size == 1 or chunk[2].size <= SUITE_CHUNK
 
 
 class _TiedKeys:
@@ -1115,7 +1121,7 @@ REFUSED_INPUTS = {
 
 def _assert_refused_input(name, text, code, match, tmp_path, capsys):
     path, out = tmp_path / name, tmp_path / "out.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     argv = {"config.json": ["sweep", "--config", str(path)],
             "perm.txt": ["run-inv", "--perm-file", str(path)],
             "op.txt": ["run-avinv", "--family", "random", "--n", "4", "--j-file", str(path)]}[name]
@@ -1134,16 +1140,33 @@ def test_refused_input_files_give_one_error_line(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("name,code", [("perm.txt", 1), ("op.txt", 1), ("config.json", 2)])
 def test_input_files_past_the_cap_are_refused(name, code, tmp_path, capsys):
-    text = " " * _MAX_FILE_CHARS + "\n"
-    _assert_refused_input(name, text, code, f"is longer than {_MAX_FILE_CHARS} bytes",
+    text = " " * _MAX_FILE_BYTES + "\n"
+    _assert_refused_input(name, text, code, f"is longer than {_MAX_FILE_BYTES} bytes",
+                          tmp_path, capsys)
+
+
+# files within the cap in characters, as universal newlines read them, but
+# past it in UTF-8 bytes
+CAP_IN_BYTES = {
+    "non-ascii-config": ("config.json", 2, '{"out": "' + "\u00e9" * (_MAX_FILE_BYTES // 2) + '"}'),
+    "crlf-operator": ("op.txt", 1, _OPERATOR_TEXT.replace("\n", "\r\n")
+                      + "\r\n" * (_MAX_FILE_BYTES // 2)),
+}
+
+
+@pytest.mark.parametrize("case", CAP_IN_BYTES)
+def test_input_files_past_the_cap_in_bytes_are_refused(case, tmp_path, capsys):
+    name, code, text = CAP_IN_BYTES[case]
+    assert len(text.replace("\r\n", "\n")) <= _MAX_FILE_BYTES < len(text.encode())
+    _assert_refused_input(name, text, code, f"is longer than {_MAX_FILE_BYTES} bytes",
                           tmp_path, capsys)
 
 
 def test_a_permutation_file_at_the_cap_is_read(tmp_path):
     rows = "n=2\n0\n1\n2\n3"
     path = tmp_path / "perm.txt"
-    path.write_text(rows + " " * (_MAX_FILE_CHARS - len(rows) - 1) + "\n")
+    path.write_text(rows + " " * (_MAX_FILE_BYTES - len(rows) - 1) + "\n")
     assert load_permutation(path).table.tolist() == [0, 1, 2, 3]
-    path.write_text(rows + " " * (_MAX_FILE_CHARS - len(rows)) + "\n")
+    path.write_text(rows + " " * (_MAX_FILE_BYTES - len(rows)) + "\n")
     with pytest.raises(ValueError, match="longer than"):
         load_permutation(path)

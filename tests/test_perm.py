@@ -1,5 +1,7 @@
 """Permutation families, prefix sets, and the permutation file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -134,9 +136,22 @@ def test_affine_seeded_is_bijection():
     assert perm.table.tolist() == again.table.tolist()
 
 
+NOT_A_BIJECTION = re.escape("table is not a bijection on [0, 2^n)")
+
+
 def test_from_table_rejects_non_bijection():
-    with pytest.raises(ValueError, match="bijection"):
+    with pytest.raises(ValueError, match=NOT_A_BIJECTION):
         Permutation(2, [0, 0, 1, 2])
+
+
+@pytest.mark.parametrize("table", [
+    [-1, 0, 1, 2],  # as an index, -1 would be 3, the one value missing
+    [3, 1, 2, -4],  # as an index, -4 would be 0, the one value missing
+    [0, 1, 2, 4],  # an entry equal to 2^n
+])
+def test_from_table_rejects_entries_out_of_range(table):
+    with pytest.raises(ValueError, match=NOT_A_BIJECTION):
+        Permutation(2, table)
 
 
 def test_odd_and_oversized_n_rejected():
