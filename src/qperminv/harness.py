@@ -187,6 +187,9 @@ _GRID_RULES = {
     "a": (lambda v: _is_number(v) and 0 <= v <= 1, "numbers in [0, 1]"),
     "bad_size": _at_least(0),
 }
+# `sweep_rows` keeps every row, about 0.94 KB each, so a grid holds at most
+# about 94 MB of rows.
+SWEEP_MAX_POINTS = 10**5
 
 
 def _check_keys(where: str, obj: dict, rules: dict, required) -> None:
@@ -214,6 +217,9 @@ def validate_sweep_config(config: dict) -> dict:
         for value in grid[key]:
             if not test(value):
                 raise ValueError(f"grid {key} values must be {rule}, got {value!r}")
+    points = math.prod(len(grid[key]) for key in _GRID_RULES)
+    if points > SWEEP_MAX_POINTS:
+        raise ValueError(f"grid has {points} points, more than {SWEEP_MAX_POINTS}")
     merged = dict(SWEEP_DEFAULTS)
     merged.update(config)
     return merged
@@ -314,47 +320,22 @@ SUITE_A = (0.0, 1e-6, 1e-3)
 SUITE_B = (0.0, 1.0 / 16.0, 1.0 / 4.0)
 
 
-def _suite_chunk(ns, a, values, bad_keys, s_keys, s_ptr, t_keys, t_ptr) -> tuple[np.ndarray, ...]:
-    """|S|, |S ∩ bad| and d = mean_S (1 - c) for a chunk of randomized
-    instances. Instance i has the 2^ns[i] cosines that follow its base in the
-    concatenated `values`, and a key is a main value plus its instance's base.
-    `bad_keys` holds every instance's bad set; instance i's S and T are
-    s_keys[s_ptr[i]:s_ptr[i + 1]] and t_keys[t_ptr[i]:t_ptr[i + 1]].
+def _suite_chunk(a, values, in_bad, in_s, in_t) -> tuple[np.ndarray, ...]:
+    """|S|, |S ∩ bad| and d = mean_S (1 - c) for a group of randomized
+    instances of one size n. Row i of the (count, 2^n) arrays is instance i:
+    its cosines and its bad set, S and T as masks over its main values.
 
-    Every instance is checked at once as `_checked_bad_lut` and
-    `signed_support` check one; S must also hold no member twice. Each d is a
-    row reduce of 1 - c with 0 off S, as `analysis._deficit` sums one S."""
-    sizes = np.left_shift(1, np.asarray(ns, dtype=np.int64))
-    base = np.cumsum(sizes) - sizes
-    lut = _checked_bad_lut(values, bad_keys, a, base)
-
-    def owned(keys, ptr):  # each key inside its own instance's range
-        owner = np.repeat(np.arange(sizes.size), np.diff(ptr))
-        return (keys >= base[owner]) & (keys < base[owner] + sizes[owner]), owner
-
-    s_size = np.diff(s_ptr)
+    Every row is checked at once as `_checked_bad_lut` and `signed_support`
+    check one instance, each against its own a[i]. Each d is a row reduce of
+    1 - c with 0 off S, as `analysis._deficit` sums one S."""
+    _checked_bad_lut(values, in_bad, a)
+    s_size = np.count_nonzero(in_s, axis=1)
     if not s_size.all():
         raise ValueError("support must be nonempty")
-    inside, owner = owned(s_keys, s_ptr)
-    if not inside.all():
-        raise ValueError(f"support member out of range for {ns[owner[inside.argmin()]]} bits")
-    in_support = np.zeros(values.size, dtype=bool)
-    in_support[s_keys] = True
-    keys = np.flatnonzero(in_support)  # sorted, so each instance's S is one segment
-    if keys.size != s_keys.size:
-        raise ValueError("support members must be distinct")
-    inside = owned(t_keys, t_ptr)[0]
-    if not (inside.all() and in_support[t_keys].all()):
+    if (in_t & ~in_s).any():
         raise ValueError("flipped set must be a subset of the support")
-    s_bad = np.add.reduceat(lut[keys], s_ptr[:-1], dtype=np.int64)
-    gaps = np.where(in_support, 1.0 - values, 0.0)
-    d = np.empty(sizes.size)
-    for n in np.flatnonzero(np.bincount(ns)).tolist():  # a drawn group has one n
-        at = np.flatnonzero(sizes == 1 << n)
-        rows = (gaps.reshape(-1, 1 << n) if at.size == sizes.size
-                else gaps[base[at, None] + np.arange(1 << n)])
-        d[at] = np.add.reduce(rows, axis=1)
-    return s_size, s_bad, d / s_size
+    d = np.add.reduce(np.where(in_s, 1.0 - values, 0.0), axis=1)
+    return s_size, np.count_nonzero(in_s & in_bad, axis=1), d / s_size
 
 
 def _least(keys: np.ndarray, order: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -369,7 +350,8 @@ def _least(keys: np.ndarray, order: np.ndarray, taken: np.ndarray) -> np.ndarray
 
 def _suite_group(rng, n: int, params: np.ndarray) -> tuple:
     """A group of instances of one size n, with the given parameter rows, as
-    `_suite_chunk` takes them. After |S| and |T|, one call draws the cosines'
+    `_suite_chunk` takes them: a, then the cosines and the bad, S and T masks
+    with one row per instance. After |S| and |T|, one call draws the cosines'
     uniforms and the key rows: S and T are the |S| and |T| least keys of one
     row, the bad set (if any) the capacity least of another (`_least`)."""
     size = 1 << n
@@ -385,14 +367,11 @@ def _suite_group(rng, n: int, params: np.ndarray) -> tuple:
     in_bad[capacity > 0] = _least(bad_key, np.sort(bad_key, axis=1), capacity[capacity > 0])
     # good cosines: 1 - a (worst-case) or uniform on [1 - a, 1] (random)
     values = np.where(params[:, 4, None] == ANGLE_MODES.index("random"),
-                      1.0 - a[:, None] * uniform, (1.0 - a)[:, None]).ravel()
-    bad_keys = np.flatnonzero(in_bad)
+                      1.0 - a[:, None] * uniform, (1.0 - a)[:, None])
     # bad cosines: 0 (full-rotation) or uniform on [-1, 1] (random-angle)
     random_bad = np.repeat(params[:, 3] == BAD_MODES.index("random-angle"), capacity)
-    values[bad_keys] = np.where(random_bad, 2.0 * uniform.ravel()[bad_keys] - 1.0, 0.0)
-    return (np.full(count, n), a, values, bad_keys,
-            np.flatnonzero(_least(s_key, order, s_size)), np.append(0, np.cumsum(s_size)),
-            np.flatnonzero(_least(s_key, order, t_size)), np.append(0, np.cumsum(t_size)))
+    values[in_bad] = np.where(random_bad, 2.0 * uniform[in_bad] - 1.0, 0.0)
+    return a, values, in_bad, _least(s_key, order, s_size), _least(s_key, order, t_size)
 
 
 def _suite_draws(n_max: int, count: int, seed: int):
@@ -441,7 +420,7 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0, k: int = 1) -
 
     for index, _, chunk in _suite_draws(n_max, count, seed):
         s_size, s_bad, d = _suite_chunk(*chunk)
-        length, bound, perp = _margins(chunk[1], s_size, s_bad, d)
+        length, bound, perp = _margins(chunk[0], s_size, s_bad, d)
         fold(0, index, length, bound)
         fold(1, index, perp, length)
     checks = [_check_entry(name, *worst[entry][2:], passed[entry])

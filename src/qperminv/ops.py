@@ -152,15 +152,15 @@ def bad_set_capacity(n: int, b: float) -> int:
     return int(np.floor(b * (1 << n) + 1e-9))
 
 
-def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a, starts=(0,)) -> np.ndarray:
-    """The bad set as a lookup table over main values, once the cosines pass:
-    |c| <= 1 everywhere and c >= 1 - a off the bad set, within SCALAR_SLACK.
-    The cosines split into segments at `starts`, with one `a` per segment."""
+def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a) -> np.ndarray:
+    """The bad set (members or a mask) as a lookup table shaped like the
+    cosines, once they pass: |c| <= 1 everywhere and c >= 1 - a off the bad
+    set, within SCALAR_SLACK. Each row of the last axis has its own `a`."""
     if not np.abs(cosines).max() <= 1.0 + SCALAR_SLACK:  # a NaN fails too
         raise ValueError("cosines must lie in [-1, 1]")
-    lut = np.zeros(cosines.size, dtype=bool)
+    lut = np.zeros(cosines.shape, dtype=bool)
     lut[bad] = True
-    good_min = np.minimum.reduceat(np.where(lut, 1.0, cosines), starts)
+    good_min = np.where(lut, 1.0, cosines).min(axis=-1)
     if not (good_min >= 1.0 - np.asarray(a) - SCALAR_SLACK).all():
         raise ValueError("good-state cosines must lie in [1 - a, 1]")
     return lut

@@ -65,11 +65,6 @@ class Permutation:
         return f"Permutation(family={self.family!r}, n={self.n}, seed={self.seed})"
 
 
-def _bits(values, n: int) -> np.ndarray:
-    """(len(values), n) array of each value's n bits, most significant first."""
-    return (np.asarray(values, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 def _gf2_rank(rows: list[int]) -> int:
     """Rank over GF(2): each row, reduced by the basis rows in the order they
     joined (none has an earlier one's leading bit), joins them if nonzero."""
@@ -84,9 +79,13 @@ def _gf2_rank(rows: list[int]) -> int:
 
 def _affine_table(rows: list[int], offset: int, n: int) -> np.ndarray:
     """Image bit i, most significant first, is the parity of y & rows[i] plus
-    bit i of the offset."""
-    planes = (_bits(np.arange(1 << n), n) @ _bits(rows, n).T + _bits([offset], n)) & 1
-    return planes @ (1 << np.arange(n - 1, -1, -1))
+    bit i of the offset. The linear part doubles the table once per bit k of
+    y: the upper half is the lower half XOR the image of 1 << k."""
+    table = np.zeros(1, dtype=np.int64)
+    for k in range(n):
+        column = sum(((row >> k) & 1) << (n - 1 - i) for i, row in enumerate(rows))
+        table = np.concatenate((table, table ^ column))
+    return table ^ offset
 
 
 def _fisher_yates(size: int, seed: int) -> np.ndarray:
@@ -118,7 +117,7 @@ def build_permutation(family: str, n: int, *, seed: int | None = None,
     if family == "identity":
         return Permutation(n, np.arange(size), family)
     if family == "bit-reversal":
-        return Permutation(n, _bits(np.arange(size), n) @ (1 << np.arange(n)), family)
+        return Permutation(n, _affine_table([1 << i for i in range(n)], 0, n), family)
     if family == "xor-mask":
         if mask is None:
             rng = np.random.default_rng(0 if seed is None else seed)

@@ -2,10 +2,11 @@
 
 `perfbench/tracer.py` wraps named functions of this package by
 (module, attribute), and `perfbench/workloads.py` gives each workload's CLI
-arguments. Both are loaded here read-only, without writing bytecode beside
-them, so that a deleted or renamed target, or a flag or flag rule that a
-workload's arguments no longer meet, fails in this suite rather than in a
-benchmark run.
+arguments and, for `check-lemmas`, the battery's entry names. Both are
+loaded here read-only, without writing bytecode beside them, so that a
+deleted or renamed target, a flag or flag rule that a workload's arguments no
+longer meet, or a renamed or added battery entry fails in this suite rather
+than in a benchmark run.
 """
 
 import importlib
@@ -29,6 +30,14 @@ def _load(monkeypatch, name, path):
 @pytest.fixture
 def tracer_module(monkeypatch):
     return _load(monkeypatch, "perfbench_tracer", PERFBENCH / "tracer.py")
+
+
+@pytest.fixture
+def workloads_module(monkeypatch):
+    # workloads.py imports its reference as the top-level module `reference`
+    monkeypatch.setitem(sys.modules, "reference",
+                        _load(monkeypatch, "reference", PERFBENCH / "reference.py"))
+    return _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
 
 
 def _targets(tracer_module):
@@ -74,16 +83,19 @@ def test_install_then_uninstall_restores_every_original(tracer_module):
 
 
 @pytest.mark.parametrize("seed", [1, 5])
-def test_every_workload_argv_parses(monkeypatch, tmp_path, seed):
+def test_every_workload_argv_parses(workloads_module, tmp_path, seed):
     from qperminv.cli import _flag_error, build_parser
 
-    # workloads.py imports its reference as the top-level module `reference`
-    monkeypatch.setitem(sys.modules, "reference",
-                        _load(monkeypatch, "reference", PERFBENCH / "reference.py"))
-    workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
-    for name, workload in workloads.WORKLOADS.items():
+    for name, workload in workloads_module.WORKLOADS.items():
         inputs = tmp_path / name
         inputs.mkdir()
         argv = workload.argv(workload.write_inputs(inputs, seed), tmp_path / "out")
         args = build_parser().parse_args(argv)
         assert _flag_error(args) is None, (name, argv)
+
+
+def test_lemma_workload_expects_the_battery_entries_in_order(workloads_module):
+    from qperminv.harness import lemma_battery
+
+    names = tuple(entry["name"] for entry in lemma_battery(2, 1, 0))
+    assert names == workloads_module.LemmaRandom.checks

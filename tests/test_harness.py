@@ -288,14 +288,12 @@ def _suite_instances(n_max, count, seed):
     members as main values."""
     instances = {}
     for index, params, chunk in _suite_draws(n_max, count, seed):
-        ns, a, values, bad_keys, s_keys, s_ptr, t_keys, t_ptr = chunk
-        sizes = np.left_shift(1, ns)
-        for i, base in enumerate((np.cumsum(sizes) - sizes).tolist()):
-            end = base + sizes[i]
+        a, values, in_bad, in_s, in_t = chunk
+        n = values.shape[1].bit_length() - 1
+        for i in range(index.size):
             instances[int(index[i])] = (
-                params[i], int(ns[i]), float(a[i]),
-                bad_keys[(bad_keys >= base) & (bad_keys < end)] - base, values[base:end],
-                s_keys[s_ptr[i]:s_ptr[i + 1]] - base, t_keys[t_ptr[i]:t_ptr[i + 1]] - base)
+                params[i], n, float(a[i]), np.flatnonzero(in_bad[i]), values[i],
+                np.flatnonzero(in_s[i]), np.flatnonzero(in_t[i]))
     assert sorted(instances) == list(range(count))
     return [instances[i] for i in range(count)]
 
@@ -371,7 +369,7 @@ def test_randomized_suite_draws_follow_the_instance_rules():
 @pytest.mark.parametrize("n_max,count", [(8, 5000), (12, 5000), (16, 800)])
 def test_randomized_suite_groups_keep_to_the_cosine_budget(n_max, count):
     for index, _, chunk in _suite_draws(n_max, count, 0):
-        assert index.size == 1 or chunk[2].size <= SUITE_CHUNK
+        assert index.size == 1 or chunk[1].size <= SUITE_CHUNK
 
 
 class _TiedKeys:
@@ -398,20 +396,19 @@ def test_suite_group_handles_key_ties(n, levels):
     rng = _TiedKeys(n, levels)
     chunk = _suite_group(rng, n, params)
     s_size = _suite_chunk(*chunk)[0]  # every check passes
-    bad_keys, s_keys, t_keys, t_ptr = chunk[3], chunk[4], chunk[6], chunk[7]
+    in_bad, in_s, in_t = chunk[2:]
     drawn_s, drawn_t = rng.drawn
     capacity = np.take([bad_set_capacity(n, b) for b in SUITE_B], params[:, 2])
 
-    def owner(keys):  # members per instance
-        return np.bincount(keys >> n, minlength=count)
+    def members(mask):  # members per instance
+        return np.count_nonzero(mask, axis=1)
 
-    assert (s_size == drawn_s).all() and (owner(s_keys) == drawn_s).all()
-    assert (np.diff(t_ptr) == drawn_t).all() and (owner(t_keys) == drawn_t).all()
-    assert (owner(bad_keys) == capacity).all() and np.isin(t_keys, s_keys).all()
+    assert (s_size == drawn_s).all() and (members(in_s) == drawn_s).all()
+    assert (members(in_t) == drawn_t).all() and not (in_t & ~in_s).any()
+    assert (members(in_bad) == capacity).all()
     if levels == 1:  # every key ties: each set is the lowest main values of its row
-        for keys, taken in ((s_keys, drawn_s), (t_keys, drawn_t), (bad_keys, capacity)):
-            lowest = [(i << n) + np.arange(k) for i, k in enumerate(taken.tolist())]
-            assert np.array_equal(keys, np.concatenate(lowest))
+        for mask, taken in ((in_s, drawn_s), (in_t, drawn_t), (in_bad, capacity)):
+            assert np.array_equal(mask, np.arange(1 << n) < taken[:, None])
 
 
 def test_randomized_suite_subsets_are_uniform():
@@ -460,36 +457,33 @@ def test_markov_entry_is_the_residual_run_nearest_its_limit(n_max, seed, k, pinn
 
 
 def _valid_chunk():
-    """Three instances (n = 2, 4, 2), given per instance: n, a, cosines,
-    sorted bad set, S and T."""
-    cosines = [np.array([0.9995, 0.0, 1.0, 0.999]), np.ones(16),
+    """Three instances of one size n = 2, given per instance after n: a,
+    cosines, sorted bad set, S and T."""
+    cosines = [np.array([0.9995, 0.0, 1.0, 0.999]), np.ones(4),
                np.array([1.0 - 1e-6, 1.0, 1.0, -0.5])]
-    return ([2, 4, 2], [1e-3, 0.0, 1e-6], cosines,
+    return (2, [1e-3, 0.0, 1e-6], cosines,
             [np.array([1]), np.array([], dtype=np.int64), np.array([3])],
-            [np.array([3, 1, 0]), np.array([15, 2, 7]), np.array([0, 3])],
+            [np.array([3, 1, 0]), np.array([2, 3]), np.array([0, 3])],
             [np.array([1]), np.array([], dtype=np.int64), np.array([3, 0])])
 
 
-def _packed(ns, a, cosines, bads, supports, flips):
-    """Per-instance lists as `_suite_chunk` takes them: the cosines
-    concatenated, and each member set as keys (member plus its instance's base
-    there) with CSR offsets."""
-    sizes = np.left_shift(1, ns)
-    bases = np.cumsum(sizes) - sizes
+def _packed(n, a, cosines, bads, supports, flips):
+    """Per-instance lists as `_suite_chunk` takes them: a, the cosines
+    stacked, and each member set as a mask with one row per instance."""
 
-    def keys(sets):
-        return (np.concatenate([np.asarray(m, dtype=np.int64) + base
-                                for m, base in zip(sets, bases.tolist())]),
-                np.concatenate(([0], np.cumsum([len(m) for m in sets]))))
+    def masks(sets):
+        mask = np.zeros((len(sets), 1 << n), dtype=bool)
+        for row, members in zip(mask, sets):
+            row[members] = True
+        return mask
 
-    return (ns, np.array(a), np.concatenate(cosines), keys(bads)[0], *keys(supports),
-            *keys(flips))
+    return np.array(a), np.stack(cosines), masks(bads), masks(supports), masks(flips)
 
 
 def test_suite_chunk_reduces_each_instance_as_alone():
-    ns, a, cosines, bads, supports, flips = _valid_chunk()
-    s_size, s_bad, d = _suite_chunk(*_packed(ns, a, cosines, bads, supports, flips))
-    for i, n in enumerate(ns):
+    n, a, cosines, bads, supports, flips = _valid_chunk()
+    s_size, s_bad, d = _suite_chunk(*_packed(n, a, cosines, bads, supports, flips))
+    for i in range(len(a)):
         members = signed_support(supports[i], flips[i], n)[0]
         lut = _checked_bad_lut(cosines[i], bads[i], a[i])
         assert s_size[i] == members.size and s_bad[i] == lut[members].sum()
@@ -508,26 +502,25 @@ def test_suite_chunk_d_is_the_per_instance_deficit(n_max, count, seed):
             assert d == _deficit(SimpleNamespace(n=n, cosines=cosines), support, flipped)[1]
 
 
-# (field, instance, new value, message); fields index `_valid_chunk`'s tuple.
-# Once offset, S member 4 of instance 0 falls in instance 1's range, and T
-# members 6 of instance 0 and -1 of instance 1 fall on a neighbour's S member.
-CHUNK_CORRUPTIONS = [
-    (2, 0, [0.9995, 0.0, 1.5, 0.999], "cosines must lie in"),
-    (2, 2, [1.0, np.nan, 1.0, -0.5], "cosines must lie in"),
-    (2, 1, [1.0] * 15 + [1.0 - 1e-6], "good-state cosines"),
-    (2, 2, [1.0 - 2e-6, 1.0, 1.0, -0.5], "good-state cosines"),
-    (4, 2, [], "support must be nonempty"),
-    (4, 1, [15, 2, 15], "support members must be distinct"),
-    (4, 0, [3, 1, 4], "support member out of range for 2 bits"),
-    (4, 1, [15, 16, 7], "support member out of range for 4 bits"),
-    (4, 1, [-1, 2, 7], "support member out of range for 4 bits"),
-    (5, 2, [1], "flipped set must be a subset of the support"),
-    (5, 0, [6], "flipped set must be a subset of the support"),
-    (5, 1, [-1], "flipped set must be a subset of the support"),
-]
+# case number -> (field, instance, new value, message); fields index
+# `_valid_chunk`'s tuple, and each T member given is a neighbour's S member.
+# A mask cannot hold a member twice or out of range, so those faults have no
+# case; the numbers are stable test ids.
+CHUNK_CORRUPTIONS = {
+    0: (2, 0, [0.9995, 0.0, 1.5, 0.999], "cosines must lie in"),
+    1: (2, 2, [1.0, np.nan, 1.0, -0.5], "cosines must lie in"),
+    2: (2, 1, [1.0, 1.0, 1.0, 1.0 - 1e-6], "good-state cosines"),
+    3: (2, 2, [1.0 - 2e-6, 1.0, 1.0, -0.5], "good-state cosines"),
+    4: (4, 2, [], "support must be nonempty"),
+    9: (5, 2, [1], "flipped set must be a subset of the support"),
+    10: (5, 0, [2], "flipped set must be a subset of the support"),
+    11: (5, 1, [0], "flipped set must be a subset of the support"),
+}
 
 
-@pytest.mark.parametrize("field,instance,value,match", CHUNK_CORRUPTIONS)
+@pytest.mark.parametrize("field,instance,value,match", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-value{number}-{case[3]}")
+    for number, case in CHUNK_CORRUPTIONS.items()])
 def test_suite_chunk_refuses_corrupt_instances(field, instance, value, match):
     chunk = _valid_chunk()
     chunk[field][instance] = np.array(value, dtype=chunk[field][instance].dtype)
@@ -783,6 +776,25 @@ def test_sweep_invalid_config_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps({"master_seed": 5, "grid": {"n": [5], "family": ["random"],
                                                            "a": [0.0], "bad_size": [0]}}))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+
+def test_sweep_grid_past_the_point_cap_is_refused(tmp_path, capsys):
+    cap = harness.SWEEP_MAX_POINTS
+    grid = {"n": [2] * 10, "family": ["identity"] * 10, "a": [0.0] * 10,
+            "bad_size": [0] * (cap // 1000)}
+    assert harness.validate_sweep_config({"master_seed": 0, "grid": grid})  # at the cap
+    # four lists of 1000 values: 10^12 points
+    config = {"master_seed": 0, "grid": {"n": [2] * 1000, "family": ["identity"] * 1000,
+                                         "a": [0.0] * 1000, "bad_size": [0] * 1000}}
+    with pytest.raises(ValueError, match="points"):  # so the CLI call below does no work
+        harness.validate_sweep_config(config)
+    path, out = tmp_path / "config.json", tmp_path / "s.csv"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: invalid sweep config: grid has 1000000000000 points, "
+                            f"more than {cap}\n")
 
 
 def test_sweep_sampled_x_mode(tmp_path):

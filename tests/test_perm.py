@@ -123,6 +123,16 @@ def test_affine_tables_match_the_per_bit_definition(seed):
                               _affine_per_bit(rows[::-1], offset, n)), n
 
 
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_doubled_tables_match_a_per_y_bit_loop(n):
+    reversed_bits = [sum(((y >> k) & 1) << (n - 1 - k) for k in range(n)) for y in range(1 << n)]
+    assert build_permutation("bit-reversal", n).table.tolist() == reversed_bits
+    for seed in (1, 4):
+        rows, offset = _seeded_affine_draw(n, seed)
+        assert np.array_equal(build_permutation("affine-gf2", n, seed=seed).table,
+                              _affine_per_bit(rows, offset, n)), seed
+
+
 def test_bit_reversal_tables_match_string_reversal():
     for n in range(2, 17, 2):
         want = [int(format(y, f"0{n}b")[::-1], 2) for y in range(1 << n)]
