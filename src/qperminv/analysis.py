@@ -251,7 +251,7 @@ def compute_params(r: float, n: int) -> Params:
     try:
         p = 4.0 * n * n * (r + 1.0) ** 4
         q = p ** 0.25 / math.sqrt(2.0 * n)
-        count = (1 << n) * (1.0 / r - 1.0 / q**2) / (1.0 - 1.0 / q**2)
+        count = 2.0**n * (1.0 / r - 1.0 / q**2) / (1.0 - 1.0 / q**2)
     except OverflowError:
         p = count = math.inf
     if not (math.isfinite(p) and math.isfinite(count)):

@@ -7,9 +7,9 @@ params. Exit codes: 0 success, 1 failed validation or failed bound/stage,
 Flag values are checked before any work, by the rules of the sweep config's
 keys: --n an even integer in [2, 16] (params has its own), --seed, --j-seed
 integers >= 0, --master-seed and check-lemmas' --seed integers in [0, 2^64),
---mask an integer >= 0, --count an integer in [1, 10^6], --threshold, --a,
---b and --r finite numbers. --k's least value depends on the command;
---workers is accepted and ignored. Every usage error prints one line.
+--mask and --bad-size integers >= 0, --count an integer in [1, 10^6],
+--threshold, --a, --b and --r finite numbers. --k's least value depends on
+the command; --workers is accepted and ignored. Every fault prints one line.
 """
 
 from __future__ import annotations
@@ -45,28 +45,22 @@ from .perm import FAMILIES, _read_capped, build_permutation, load_permutation, p
 from .qstate import check_register_sizes
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _failure(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 _FINITE = (math.isfinite, "a finite number")
 # flag dest -> (test, rule) of its value, the pairs of the sweep-config keys
 # of the same meaning; a flag is checked wherever it is given, read or not
 _FLAG_RULES = {
     "n": _GRID_RULES["n"], "seed": _SWEEP_RULES["perm_seed"], "j_seed": _SWEEP_RULES["j_seed"],
     "master_seed": _SWEEP_RULES["master_seed"], "mask": _at_least(0),
+    "bad_size": _GRID_RULES["bad_size"],
     "count": (lambda v: 1 <= v <= 10**6, "an integer in [1, 1000000]"),
     "threshold": _FINITE, "a": _FINITE, "b": _FINITE, "r": _FINITE,
 }
 # check-lemmas' --seed is the battery's master seed; params' --n keeps
 # compute_params' own rule
-_COMMAND_RULES = {"check-lemmas": {"seed": _SWEEP_RULES["master_seed"]}, "params": {"n": None}}
+_COMMAND_RULES = {
+    "check-lemmas": {"seed": _SWEEP_RULES["master_seed"], "k": (lambda v: v >= 1, "at least 1")},
+    "params": {"n": None},
+}
 
 
 def _flag_error(args) -> str | None:
@@ -112,25 +106,23 @@ def _resolve_perm(args):
 def _resolve_xs(selector: str, n: int, master_seed: int):
     if selector == "all":
         return np.arange(1 << n)
-    if selector.startswith("sample:"):
-        try:
-            count = int(selector.split(":", 1)[1])
-        except ValueError as exc:
-            raise UsageError(f"cannot parse --x value {selector!r}") from exc
-        if count < 1:
-            raise UsageError("sample count must be positive")
-        return sample_xs(n, count, derive_seed(master_seed, f"xs/n={n}"))
+    sample = selector.startswith("sample:")
+    tokens = [selector.removeprefix("sample:")] if sample else selector.split(",")
     try:
-        xs = [int(tok) for tok in selector.split(",")]
+        xs = [int(tok) for tok in tokens]
     except ValueError as exc:
         raise UsageError(f"cannot parse --x value {selector!r}") from exc
+    if sample:
+        if xs[0] < 1:
+            raise UsageError("sample count must be positive")
+        return sample_xs(n, xs[0], derive_seed(master_seed, f"xs/n={n}"))
     if any(not 0 <= x < (1 << n) for x in xs):
         raise UsageError("--x value out of range")
     return sorted(set(xs))
 
 
 class UsageError(Exception):
-    pass
+    """A bad flag or combination of flags: exit 2."""
 
 
 def _resolve_pseudo_identity(args, n: int):
@@ -141,6 +133,8 @@ def _resolve_pseudo_identity(args, n: int):
             raise ValueError(f"operator file is for n={jop.n}, permutation has n={n}")
         return jop
     j_seed = args.j_seed if args.j_seed is not None else derive_seed(args.master_seed, "pseudo-identity")
+    if args.bad_size is not None and args.bad_size > 1 << n:
+        raise ValueError(f"bad_size {args.bad_size} exceeds 2^{n}")
     b = args.b if args.bad_size is None else args.bad_size / (1 << n)
     return build_pseudo_identity(
         n, args.k, a=args.a, b=b,
@@ -166,32 +160,29 @@ def _resolve_inputs(args, with_pseudo: bool):
 
 def _write_output(command: str, path: str, text: str, config: dict, derived=None) -> int:
     """Write one output file and its manifest beside it, then print its path;
-    the exit code, 1 when the path cannot be written."""
+    the exit code 0. A path that cannot be written raises ValueError."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         atomic_write_text(path, text)
         write_manifest(command, config, derived or {}, {os.path.basename(path): text},
                        path + ".manifest.json")
     except OSError as exc:
-        return _failure(f"cannot write {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(path)
     return 0
 
 
-def _write_json(command: str, path: str | None, payload: dict, config: dict) -> int:
+def _write_json(command: str, path: str | None, payload: dict, config: dict) -> None:
     """A JSON report goes to `path` with a manifest, or to stdout without one."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
-        return _write_output(command, path, text, config)
-    print(text, end="")
-    return 0
+        _write_output(command, path, text, config)
+    else:
+        print(text, end="")
 
 
 def cmd_gen_perm(args) -> int:
-    try:
-        perm = build_permutation(args.family, args.n, seed=args.seed, mask=args.mask)
-    except ValueError as exc:
-        return _failure(str(exc))
+    perm = build_permutation(args.family, args.n, seed=args.seed, mask=args.mask)
     out_dir = resolve_out_dir(args.out_dir)
     name = f"perm-{args.family}-n{args.n}" + (f"-s{args.seed}" if args.seed is not None else "")
     path = args.out or os.path.join(out_dir, name + ".txt")
@@ -200,14 +191,9 @@ def cmd_gen_perm(args) -> int:
 
 
 def _cmd_run(args, with_pseudo: bool) -> int:
-    try:
-        perm, xs, jop, threshold = _resolve_inputs(args, with_pseudo)
-        k = args.k if jop is None else jop.k
-        runs = run_batch(perm, jop, xs, k, not args.no_trace, threshold)
-    except UsageError as exc:
-        return _usage(str(exc))
-    except (ValueError, OSError) as exc:
-        return _failure(str(exc))
+    perm, xs, jop, threshold = _resolve_inputs(args, with_pseudo)
+    k = args.k if jop is None else jop.k
+    runs = run_batch(perm, jop, xs, k, not args.no_trace, threshold)
     csv_text = run_reports_to_csv(perm, jop, runs)
     out_dir = resolve_out_dir(args.out_dir)
     command = "run-avinv" if with_pseudo else "run-inv"
@@ -230,34 +216,24 @@ def _cmd_run(args, with_pseudo: bool) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
-    if args.k < 1:
-        return _usage(f"--k must be at least 1, got {args.k}")
-    try:
-        check_register_sizes(args.n, args.k)
-    except ValueError as exc:
-        return _failure(str(exc))
+    check_register_sizes(args.n, args.k)
     checks = lemma_battery(n_max=args.n, count=args.count, seed=args.seed, k=args.k)
     report = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
     config = {"n": args.n, "count": args.count, "seed": args.seed, "k": args.k}
-    code = _write_json("check-lemmas", args.out, report, config)
-    return code or (0 if report["all_pass"] else 1)
+    _write_json("check-lemmas", args.out, report, config)
+    return 0 if report["all_pass"] else 1
 
 
 def cmd_test_stages(args) -> int:
     if args.corrupt_stage is not None and args.provider != "corrupted":
-        return _usage("--corrupt-stage needs --provider corrupted")
-    try:
-        perm, xs, jop, threshold = _resolve_inputs(args, args.provider == "pseudo")
-        if args.provider == "corrupted":
-            if args.corrupt_stage is None:
-                raise UsageError("--provider corrupted requires --corrupt-stage")
-            if not 0 <= args.corrupt_stage < perm.n // 2:
-                raise UsageError(f"--corrupt-stage out of range [0, {perm.n // 2 - 1}]")
-        report = run_stepwise_test(perm, xs, jop, args.corrupt_stage, threshold)
-    except UsageError as exc:
-        return _usage(str(exc))
-    except (ValueError, OSError) as exc:
-        return _failure(str(exc))
+        raise UsageError("--corrupt-stage needs --provider corrupted")
+    perm, xs, jop, threshold = _resolve_inputs(args, args.provider == "pseudo")
+    if args.provider == "corrupted":
+        if args.corrupt_stage is None:
+            raise UsageError("--provider corrupted requires --corrupt-stage")
+        if not 0 <= args.corrupt_stage < perm.n // 2:
+            raise UsageError(f"--corrupt-stage out of range [0, {perm.n // 2 - 1}]")
+    report = run_stepwise_test(perm, xs, jop, args.corrupt_stage, threshold)
     payload = {
         "provider": args.provider,
         "n": perm.n,
@@ -268,19 +244,16 @@ def cmd_test_stages(args) -> int:
         "first_failing_stage": report.first_failing_stage,
         "all_pass": report.all_pass,
     }
-    code = _write_json("test-stages", args.out, payload, payload)
-    return code or (0 if report.all_pass else 1)
+    _write_json("test-stages", args.out, payload, payload)
+    return 0 if report.all_pass else 1
 
 
 def cmd_sweep(args) -> int:
     try:
         config = load_sweep_config(args.config)
     except (OSError, ValueError) as exc:
-        return _usage(f"invalid sweep config: {exc}")
-    try:
-        rows, derived = sweep_rows(config)
-    except ValueError as exc:
-        return _failure(str(exc))
+        raise UsageError(f"invalid sweep config: {exc}") from exc
+    rows, derived = sweep_rows(config)
     csv_text = sweep_to_csv(rows)
     out_dir = resolve_out_dir(args.out_dir)
     path = args.out or config.get("out") or os.path.join(out_dir, "sweep.csv")
@@ -291,7 +264,7 @@ def cmd_params(args) -> int:
     try:
         params = compute_params(args.r, args.n)
     except ValueError as exc:
-        return _usage(str(exc))
+        raise UsageError(str(exc)) from exc
     print(f"p={params.p:.12g} q={params.q:.12g} hard_count={params.hard_input_count:.12g}")
     return 0
 
@@ -372,13 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code. A command raises UsageError (exit 2),
+    ValueError or OSError (exit 1), and only here is that printed, in one line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    message = _flag_error(args)
-    return _usage(message) if message else args.func(args)
+    try:
+        message = _flag_error(args)
+        if message:
+            raise UsageError(message)
+        return args.func(args)
+    except (UsageError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def main_entry() -> None:

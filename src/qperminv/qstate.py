@@ -17,7 +17,8 @@ def check_register_sizes(n: int, k: int) -> None:
     """Refuse register sizes no state vector may have, before any allocation."""
     if n < 1 or k < 0:
         raise ValueError(f"invalid register sizes n={n}, k={k}")
-    if 16 << (n + k) > MAX_STATE_BYTES:
+    # 16 * 2^(n+k) > MAX_STATE_BYTES, compared by exponent so a huge k builds no huge integer
+    if n + k > MAX_STATE_BYTES.bit_length() - 5:
         raise ValueError(f"state of 16 * 2^{n + k} bytes exceeds the {MAX_STATE_BYTES}-byte cap")
 
 

@@ -602,7 +602,8 @@ BAD_FLAGS = [
     # operator flags are checked where no operator is built from them
     *[([command, *_FAMILY_N4], flag, value, rule)
       for command in ("run-avinv", "test-stages") for flag, value, rule in (
-          ("--j-seed", "-1", _NON_NEG), ("--a", "nan", _FINITE), ("--b", "inf", _FINITE))],
+          ("--j-seed", "-1", _NON_NEG), ("--a", "nan", _FINITE), ("--b", "inf", _FINITE),
+          ("--bad-size", "-3", _NON_NEG))],
     # checked before any file is opened, and before --k
     (["run-inv", "--perm-file", "missing.txt"], "--n", "3", _N),
     (["run-avinv", *_FAMILY_N4, "--j-file", "missing.txt"], "--j-seed", "-2", _NON_NEG),
@@ -1009,16 +1010,16 @@ def test_non_integer_sample_count_is_a_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "sample:abc" in err
 
 
-def _fails_small(argv, match, capsys):
-    """Exit 1 with one error line, and no large allocation on the way."""
+def _fails_small(argv, match, capsys, code=1):
+    """Exit `code` with one error line, and no large allocation on the way."""
     tracemalloc.start()
     try:
-        code = main(argv)
+        got = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert code == 1
+    assert got == code
     assert err.count("\n") == 1 and err.startswith("error:") and match in err
     assert peak < 16 << 20
 
@@ -1029,12 +1030,50 @@ def test_oversized_ancilla_is_refused_before_allocation(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("head", ["40 1", "4 0"], ids=["n-40", "k-0"])
-def test_operator_header_is_checked_before_allocation(head, tmp_path, capsys):
+@pytest.mark.parametrize("head, match", [("40 1", "header"), ("4 0", "header"),
+                                         ("4 1000000000", "cap")], ids=["n-40", "k-0", "k-1e9"])
+def test_operator_header_is_checked_before_allocation(head, match, tmp_path, capsys):
     j_path = tmp_path / "op.txt"
     j_path.write_text(f"{head} 0 0 worst-case/full-rotation -\nbad 0\nangles 0\n")
     _fails_small(["run-avinv", "--family", "random", "--n", "4", "--j-file", str(j_path),
-                  "--out", str(tmp_path / "r.csv")], "header", capsys)
+                  "--out", str(tmp_path / "r.csv")], match, capsys)
+
+
+# sizes compared by exponent or bounded before a division: none builds an
+# integer or float in proportion to its value (k or n of 10^9 would build a
+# 125 MB integer)
+@pytest.mark.parametrize("argv, code, match", [
+    pytest.param(["run-inv", "--family", "identity", "--n", "2", "--k", "1000000000"], 1, "cap",
+                 id="run-inv-k-1e9"),
+    pytest.param(["run-inv", "--family", "identity", "--n", "2", "--k", str(10**20)], 1, "cap",
+                 id="run-inv-k-1e20"),
+    pytest.param(["check-lemmas", "--k", "1000000000"], 1, "cap", id="check-lemmas-k-1e9"),
+    pytest.param(["params", "--r", "1", "--n", "1000000000"], 2, "finite float range",
+                 id="params-n-1e9"),
+    pytest.param(["run-avinv", "--family", "random", "--n", "4", "--bad-size", str(10**400)], 1,
+                 "exceeds 2^4", id="bad-size-1e400"),
+    pytest.param(["run-avinv", "--family", "random", "--n", "4", "--bad-size", "-3"], 2,
+                 "--bad-size must be an integer >= 0, got -3", id="bad-size-negative"),
+    pytest.param(["run-avinv", "--family", "random", "--n", "4", "--bad-size", "17"], 1,
+                 "bad_size 17 exceeds 2^4", id="bad-size-17"),
+])
+def test_huge_sizes_fail_small(argv, code, match, tmp_path, capsys):
+    out = tmp_path / "out"
+    _fails_small([*argv, *(["--out", str(out)] if argv[0] != "params" else [])], match, capsys,
+                 code)
+    assert not out.exists()
+
+
+def test_cli_fuzz_ends_every_call_in_an_exit_code(tmp_path):
+    """tests/cli_fuzz.py, run in one child capped at 1 GiB of address space."""
+    work = tmp_path / "work"
+    work.mkdir()
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "QPERMINV_OUT_DIR": "out",
+           "HYPOTHESIS_STORAGE_DIRECTORY": str(tmp_path / "hypothesis")}
+    proc = subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__), "cli_fuzz.py")],
+                          cwd=work, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_test_stages_oversized_ancilla_fails_cleanly(capsys):
