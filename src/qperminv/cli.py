@@ -42,7 +42,6 @@ from .harness import (
 from .invert import EXACT_THRESHOLD, PSEUDO_THRESHOLD, run_stepwise_test
 from .ops import ANGLE_MODES, BAD_MODES, build_pseudo_identity, parse_pseudo_identity
 from .perm import FAMILIES, _read_capped, build_permutation, load_permutation, permutation_to_text
-from .qstate import check_register_sizes
 
 
 _FINITE = (math.isfinite, "a finite number")
@@ -193,7 +192,7 @@ def cmd_gen_perm(args) -> int:
 def _cmd_run(args, with_pseudo: bool) -> int:
     perm, xs, jop, threshold = _resolve_inputs(args, with_pseudo)
     k = args.k if jop is None else jop.k
-    runs = run_batch(perm, jop, xs, k, not args.no_trace, threshold)
+    runs = run_batch(perm, jop, xs, not args.no_trace, threshold)
     csv_text = run_reports_to_csv(perm, jop, runs)
     out_dir = resolve_out_dir(args.out_dir)
     command = "run-avinv" if with_pseudo else "run-inv"
@@ -216,8 +215,7 @@ def _cmd_run(args, with_pseudo: bool) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
-    check_register_sizes(args.n, args.k)
-    checks = lemma_battery(n_max=args.n, count=args.count, seed=args.seed, k=args.k)
+    checks = lemma_battery(n_max=args.n, count=args.count, seed=args.seed)
     report = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
     config = {"n": args.n, "count": args.count, "seed": args.seed, "k": args.k}
     _write_json("check-lemmas", args.out, report, config)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ops import PseudoIdentity
 from .perm import Permutation, _check_stage, _check_values, prefix_members
-from .qstate import StateVector, check_register_sizes, make_signed_uniform
+from .qstate import StateVector, make_signed_uniform
 
 EXACT_THRESHOLD = 1.0 - 1e-9
 PSEUDO_THRESHOLD = 0.99
@@ -160,7 +160,7 @@ class Runs:
     first_failing_stage: np.ndarray | None
 
 
-def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: bool,
+def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, trace: bool,
               threshold: float) -> Runs:
     """The runs of every x in xs, read from `stage_deficits`.
 
@@ -172,7 +172,6 @@ def run_batch(perm: Permutation, jop: PseudoIdentity | None, xs, k: int, trace: 
     follow from the last deficit. A traced run's first failing stage is its
     first with fidelity below the threshold.
     """
-    check_register_sizes(perm.n, k)
     xs = np.sort(_check_values(xs, perm.n))
     deficits = stage_deficits(perm, xs, jop, range(perm.n // 2) if trace else [perm.n // 2 - 1])
     first_failing = None
@@ -211,7 +210,7 @@ def run_av_inv(
 ) -> RunReport:
     """Error-tolerant staged inversion of one x: the exact reflection is
     replaced by its conjugation under the pseudo-identity."""
-    runs = run_batch(perm, jop, [x], jop.k, trace, threshold)
+    runs = run_batch(perm, jop, [x], trace, threshold)
     stages = first_failing = None
     if trace:
         deficits = runs.deficits[0]
@@ -257,7 +256,6 @@ def run_stepwise_test(
     if jop is not None and corrupt_stage is not None:
         raise ValueError("a corrupted stage is defined for the exact reflections only")
     xs = _check_values(xs, perm.n)
-    check_register_sizes(perm.n, 0 if jop is None else jop.k)
     levels = _levels(perm, _vectors(perm, jop))
     stats = [_at(levels, i, xs) for i in range(perm.n // 2 + 1)]
     deficits = np.stack([0.5 * (spreads + _sq(means - stats[j + 1][0]))

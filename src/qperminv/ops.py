@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perm import (DEFAULT_MAX_BITS, Permutation, _check_stage, _check_value, _read_rows,
-                   prefix_members)
+from .perm import (DEFAULT_MAX_BITS, Permutation, _check_listing, _check_stage, _check_value,
+                   _file_lines, _number, _read_rows, prefix_members)
 from .qstate import StateVector, support_members
 
 BAD_MODES = ("full-rotation", "random-angle")
@@ -250,6 +250,7 @@ def apply_pseudo_reflection(
 # Serialization: header "n k a b angle_mode/bad_mode seed", the sorted bad
 # set, then an explicit cosine block whenever either mode was randomized or
 # the cosines differ from the ones the header implies (1 - a, 0 on the bad set).
+# Lines are read by `perm._file_lines`; none may follow the last block.
 
 def _implied_cosines(n: int, a: float, bad) -> np.ndarray:
     cosines = np.full(1 << n, 1.0 - a, dtype=np.float64)
@@ -271,24 +272,8 @@ def serialize_pseudo_identity(jop: PseudoIdentity) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NOT_A_NUMBER = {int: "invalid literal for int() with base 10",
-                 float: "could not convert string to float"}
-
-
-def _number(token: str, kind=int):
-    """kind(token), refusing the digit separators that int() and float() take
-    and the cosine rows' reader does not, with the message of any non-number."""
-    if "_" in token:
-        raise ValueError(f"{_NOT_A_NUMBER[kind]}: {token!r}")
-    return kind(token)
-
-
 def parse_pseudo_identity(text: str) -> PseudoIdentity:
-    if not text.isascii():  # numpy's reader mishandles some other code points
-        raise ValueError("pseudo-identity file must be ASCII")
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty pseudo-identity file")
+    lines = _file_lines(text, "pseudo-identity file")
     head = lines[0].split()
     if len(head) != 6:
         raise ValueError("header must be 'n k a b mode seed'")
@@ -302,7 +287,7 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     seed = None if head[5] == "-" else _number(head[5])
     _check_seed(seed)
 
-    def block(pos: int, expected_tag: str) -> tuple[int, int]:
+    def block(pos: int, expected_tag: str) -> tuple[int, list[str]]:
         if pos >= len(lines) or len(lines[pos].split()) != 2:
             raise ValueError(f"expected '{expected_tag} <count>' line")
         tag, count = lines[pos].split()
@@ -311,32 +296,25 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
         count = _number(count)
         if count < 0:
             raise ValueError(f"{expected_tag} count must be non-negative, got {count}")
-        if pos + count >= len(lines):
+        rows = lines[pos + 1:pos + 1 + count]
+        if len(rows) < count:
             raise ValueError(f"{expected_tag} block is truncated")
-        return pos + 1, count
+        return pos + 1 + count, rows
 
-    def main_value(z: int) -> int:
-        if not 0 <= z < (1 << n):
-            raise ValueError(f"main value {z} out of range for {n} bits")
-        return z
-
-    pos, bad_count = block(1, "bad")
-    bad = [main_value(_number(lines[pos + i])) for i in range(bad_count)]
-    pos, angle_count = block(pos + bad_count, "angles")
-    if angle_count == 0:
+    pos, rows = block(1, "bad")
+    bad = _check_listing(_read_rows(rows, np.int64, "bad-set lines must be decimal integers"),
+                         n, "bad set")
+    pos, rows = block(pos, "angles")
+    if not rows:
         cosines = _implied_cosines(n, a, bad)
     else:
-        if angle_count != (1 << n):
+        if len(rows) != (1 << n):
             raise ValueError(f"cosine block must list all {1 << n} values")
-        records = _read_rows(lines[pos:pos + angle_count], [("z", np.int64), ("c", np.float64)],
+        records = _read_rows(rows, [("z", np.int64), ("c", np.float64)],
                              "cosine lines must be 'z cosine' with a decimal z")
-        zs = records["z"]
-        if zs.min() < 0 or zs.max() >= angle_count:
-            main_value(zs[(zs < 0) | (zs >= angle_count)][0])
-        repeated = np.bincount(zs, minlength=angle_count) > 1
-        if repeated.any():
-            raise ValueError(f"cosine block lists main value {repeated.argmax()} twice")
         # 2^n distinct in-range values: every cosine is set once
-        cosines = np.empty(angle_count, dtype=np.float64)
-        cosines[zs] = records["c"]
+        cosines = np.empty(1 << n, dtype=np.float64)
+        cosines[_check_listing(records["z"], n, "cosine block")] = records["c"]
+    if pos < len(lines):
+        raise ValueError(f"line {pos + 1} follows the last record")
     return PseudoIdentity(n, k, a, b, bad, cosines, bad_mode, angle_mode, seed)

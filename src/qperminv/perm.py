@@ -151,42 +151,56 @@ def _check_stage(perm: Permutation, j: int) -> None:
 
 
 # File format: line 1 is "n=<int>", then one decimal image per line in row
-# order y = 0, 1, ...; trailing newline required; no comments.
+# order y = 0, 1, ...; no comments. Lines follow `_file_lines`.
 
 def permutation_to_text(perm: Permutation) -> str:
     return "\n".join([f"n={perm.n}", *map(str, perm.table.tolist())]) + "\n"
 
 
 def permutation_from_text(text: str) -> Permutation:
-    if not text.endswith("\n"):
-        raise ValueError("permutation file must end with a newline")
-    if not text.isascii():  # numpy's reader mishandles some other code points
-        raise ValueError("permutation file must be ASCII")
-    # int() reads \r as a space and refuses \x1c-\x1f; numpy's reader ends a
-    # line at \r and reads \x1c-\x1f as spaces
-    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
-        raise ValueError("table rows must be decimal integers, one per line")
-    lines = text.replace("\r", " ").split("\n")[:-1]
-    if not lines[0].startswith("n=") or "_" in lines[0]:  # int() takes digit separators
+    lines = _file_lines(text, "permutation file")
+    if not lines[0].startswith("n="):
         raise ValueError("permutation file must start with 'n=<int>'")
-    try:
-        n = int(lines[0][2:])
-    except ValueError as exc:
-        raise ValueError("permutation file must start with 'n=<int>'") from exc
+    n = _number(lines[0][2:])
     _check_bits(n)
     size = 1 << n
     if len(lines) != size + 1:
         raise ValueError(f"expected {size} table rows, found {len(lines) - 1}")
     table = _read_rows(lines[1:], np.int64, "table rows must be decimal integers, one per line")
-    if table.min() < 0 or table.max() >= size:
-        raise ValueError("table entry out of range")
-    return Permutation(n, table)
+    return Permutation(n, _check_listing(table, n, "table"))
+
+
+def _file_lines(text: str, what: str) -> list[str]:
+    """The lines of either input file: ASCII (numpy's reader mishandles other
+    code points), each CR read as a space, each line ended by LF, and no
+    \\x1c-\\x1f, which int(), split() and numpy's reader take for spaces."""
+    if not text.isascii():
+        raise ValueError(f"{what} must be ASCII")
+    if not text.endswith("\n"):
+        raise ValueError(f"{what} must end with a newline")
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        raise ValueError(f"{what} holds a separator in \\x1c-\\x1f")
+    return text.replace("\r", " ").split("\n")[:-1]
+
+
+_NOT_A_NUMBER = {int: "invalid literal for int() with base 10",
+                 float: "could not convert string to float"}
+
+
+def _number(token: str, kind=int):
+    """kind(token), refusing the digit separators that int() and float() take
+    and numpy's reader does not, with the message of any non-number."""
+    if "_" in token:
+        raise ValueError(f"{_NOT_A_NUMBER[kind]}: {token!r}")
+    return kind(token)
 
 
 def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
     """One record of `dtype` per row, read by numpy's text reader: tokens
     split by spaces or tabs, no comments, no quotes. A blank row, a wrong
     token count or a token numpy cannot read raises ValueError(message)."""
+    if not rows:  # numpy warns on no data
+        return np.empty(0, dtype=dtype)
     if not rows[0].strip():  # numpy skips blank rows, and warns when all are
         raise ValueError(message)
     try:
@@ -196,6 +210,17 @@ def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
     if records.shape != (len(rows),):  # a skipped blank row, or extra columns
         raise ValueError(message)
     return records
+
+
+def _check_listing(values: np.ndarray, n: int, listing: str) -> np.ndarray:
+    """values, refused where one lies outside [0, 2^n) or the listing has it twice."""
+    outside = (values < 0) | (values >= 1 << n)
+    if outside.any():
+        raise ValueError(f"main value {values[outside][0]} out of range for {n} bits")
+    counts = np.bincount(values, minlength=1 << n)
+    if counts.max() > 1:
+        raise ValueError(f"{listing} lists main value {counts.argmax()} twice")
+    return values
 
 
 def load_permutation(path) -> Permutation:

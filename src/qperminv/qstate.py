@@ -13,22 +13,17 @@ import numpy as np
 MAX_STATE_BYTES = 1 << 30  # no state vector may exceed 1 GiB
 
 
-def check_register_sizes(n: int, k: int) -> None:
-    """Refuse register sizes no state vector may have, before any allocation."""
-    if n < 1 or k < 0:
-        raise ValueError(f"invalid register sizes n={n}, k={k}")
-    # 16 * 2^(n+k) > MAX_STATE_BYTES, compared by exponent so a huge k builds no huge integer
-    if n + k > MAX_STATE_BYTES.bit_length() - 5:
-        raise ValueError(f"state of 16 * 2^{n + k} bytes exceeds the {MAX_STATE_BYTES}-byte cap")
-
-
 class StateVector:
     """Complex amplitudes over the (y, w) basis; dimensions fixed at creation."""
 
     __slots__ = ("n", "k", "amps")
 
     def __init__(self, n: int, k: int, amps=None):
-        check_register_sizes(n, k)
+        if n < 1 or k < 0:  # register sizes are refused before any allocation
+            raise ValueError(f"invalid register sizes n={n}, k={k}")
+        # 16 * 2^(n+k) > MAX_STATE_BYTES, compared by exponent so a huge k builds no huge integer
+        if n + k > MAX_STATE_BYTES.bit_length() - 5:
+            raise ValueError(f"state of 16 * 2^{n + k} bytes exceeds the {MAX_STATE_BYTES}-byte cap")
         dim = 1 << (n + k)
         if amps is None:
             amps = np.zeros(dim, dtype=np.complex128)

@@ -50,7 +50,7 @@ def test_criterion_1_exact_inversion_with_stage_oracles():
         for perm in family_instances(n):
             # every x in one batch: the distance after stage j's reflection is
             # sqrt(2 d_j), after its tag the one after the previous reflection
-            runs = run_batch(perm, None, range(perm.size), 0, True, EXACT_THRESHOLD)
+            runs = run_batch(perm, None, range(perm.size), True, EXACT_THRESHOLD)
             after_reflect = np.sqrt(2.0 * runs.deficits)
             after_tag = np.pad(after_reflect[:, :-1], ((0, 0), (1, 0)))
             ok = ok and runs.x.tolist() == list(range(perm.size))

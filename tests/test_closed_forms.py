@@ -59,7 +59,7 @@ def test_sweep_residuals_match_run_residuals(a):
     for seed in range(3):
         jop = build_pseudo_identity(8, 1, a=a, b=0.0, angle_mode="random", seed=seed)
         summary = inversion_residual_stats(perm, jop, 2.0)
-        columns = run_batch(perm, jop, np.arange(256), 1, False, PSEUDO_THRESHOLD).v2_norm
+        columns = run_batch(perm, jop, np.arange(256), False, PSEUDO_THRESHOLD).v2_norm
         runs = [run_av_inv(perm, x, jop).v2_norm for x in range(256)]
         assert np.abs(columns - runs).max() <= 1e-15
         assert (summary.mean_v2, summary.max_v2) == (columns.mean(), columns.max())

@@ -98,12 +98,12 @@ def test_runs_match_dense_reference(n, family):
     perm = build_permutation(family, n, seed=n + 3)
     xs = list(_xs(n))
     for k in (0, 1, 2):
-        runs = run_batch(perm, None, xs, k, True, EXACT_THRESHOLD)
+        runs = run_batch(perm, None, xs, True, EXACT_THRESHOLD)
         _assert_runs_match(runs, lambda x: _dense_run(perm, x, k))
     for bad_mode, angle_mode in MODE_PAIRS:
         for k in (1, 2):
             jop = _operator(n, k, bad_mode, angle_mode, seed=7 * n + k)
-            runs = run_batch(perm, jop, xs, k, True, PSEUDO_THRESHOLD)
+            runs = run_batch(perm, jop, xs, True, PSEUDO_THRESHOLD)
             _assert_runs_match(runs, lambda x: _dense_run(perm, x, k, jop))
 
 
@@ -115,7 +115,7 @@ def test_batch_matches_dense_reference(n, family):
     xs = list(_xs(n))
     for bad_mode, angle_mode in MODE_PAIRS:
         jop = _operator(n, 1, bad_mode, angle_mode, seed=7 * n + 1)
-        runs = run_batch(perm, jop, xs[::-1], 1, True, 0.99)
+        runs = run_batch(perm, jop, xs[::-1], True, 0.99)
         assert runs.x.tolist() == xs
         _assert_runs_match(runs, lambda x: _dense_run(perm, x, 1, jop))
 

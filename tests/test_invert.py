@@ -93,8 +93,8 @@ def _dense_final_state(perm, x, k, jop=None):
     return state
 
 
-def _exact_runs(perm, xs, k=0, trace=False):
-    return run_batch(perm, None, xs, k, trace, EXACT_THRESHOLD)
+def _exact_runs(perm, xs, trace=False):
+    return run_batch(perm, None, xs, trace, EXACT_THRESHOLD)
 
 
 def test_run_inv_identity_n2():
@@ -148,7 +148,7 @@ def test_amplitude_law_between_stages():
 def test_run_av_inv_trivial_operator_matches_exact():
     perm = build_permutation("random", 6, seed=9)
     jop = build_pseudo_identity(6, 1, a=0.0, b=0.0)
-    exact = _exact_runs(perm, (0, 17, 63), k=1)
+    exact = _exact_runs(perm, (0, 17, 63))
     for x, success in zip(exact.x.tolist(), exact.success_prob.tolist()):
         approx = run_av_inv(perm, x, jop)
         assert approx.v2_norm <= 1e-9
@@ -203,7 +203,7 @@ def test_residual_is_summed_off_the_target():
     perm = build_permutation("random", 8, seed=1)
     for cosine in (0.27, 0.73, 0.94):
         jop = PseudoIdentity(8, 1, 1.0, 0.0, [], np.full(256, cosine))
-        runs = run_batch(perm, jop, range(256), 1, False, PSEUDO_THRESHOLD)
+        runs = run_batch(perm, jop, range(256), False, PSEUDO_THRESHOLD)
         assert np.all(runs.success_prob == 1.0)
         assert runs.v2_norm.max() <= 1e-12
         assert np.abs(runs.success_prob + runs.v2_norm**2 - 1.0).max() <= 1e-12
@@ -217,7 +217,7 @@ def test_trace_distances_vanish_on_one_rotation_operators():
     for cosine in (0.27, 0.73, 0.94):
         jop = PseudoIdentity(8, 1, 1.0, 0.0, [], np.full(256, cosine))
         # the tag distances are 0 and the reflection distances of earlier stages
-        runs = run_batch(perm, jop, range(256), 1, True, PSEUDO_THRESHOLD)
+        runs = run_batch(perm, jop, range(256), True, PSEUDO_THRESHOLD)
         assert np.sqrt(2.0 * runs.deficits).max() <= 1e-12
 
 
@@ -226,7 +226,7 @@ def test_run_report_metadata():
     # and stay empty for an exact run
     perm = build_permutation("random", 4, seed=6)
     jop = build_pseudo_identity(4, 1, a=0.0, b=0.25, seed=8)
-    runs = run_batch(perm, jop, [2], 1, False, PSEUDO_THRESHOLD)
+    runs = run_batch(perm, jop, [2], False, PSEUDO_THRESHOLD)
     row = run_reports_to_csv(perm, jop, runs).splitlines()[1]
     assert row.split(",")[:8] == ["4", "random", "6", "0", "0.25", "4", "8", "2"]
     exact = run_reports_to_csv(perm, None, _exact_runs(perm, [2])).splitlines()[1]
@@ -244,7 +244,7 @@ def test_run_csv_rows_match_single_x_runs(family, kwargs, trace):
                                 angle_mode="random", seed=4)
     for op, threshold in ((None, EXACT_THRESHOLD), (jop, PSEUDO_THRESHOLD)):
         def csv_rows(xs):
-            return run_reports_to_csv(perm, op, run_batch(perm, op, xs, 1, trace,
+            return run_reports_to_csv(perm, op, run_batch(perm, op, xs, trace,
                                                           threshold)).splitlines()
 
         header, *rows = csv_rows(range(64))

@@ -486,10 +486,19 @@ def _separate(line_index, token_index):
     return edit
 
 
+def _join(first):
+    # lines first and first + 1 as one line, split by a form feed
+    return lambda lines: [*lines[:first], lines[first] + "\x0c" + lines[first + 1],
+                          *lines[first + 2:]]
+
+
 # Each edit of a random-angle n=4 file (16 'z cosine' lines, z = 15 last)
-# gives back the unedited cosines or is refused with the message. The cosine
-# lines are read by numpy's text reader: a decimal z and a float, split by
-# spaces or tabs. Lines 0-4 are the header, 'bad 2', two bad members and
+# gives back the unedited cosines or is refused with the message. An edit
+# returns the lines, or the whole text with LF line ends. The line contract
+# is the permutation file's: lines end only at LF, the last one too; CR, tab,
+# vertical tab and form feed read as spaces; \x1c-\x1f are refused; no line
+# follows the last block. The bad members and cosine lines are read by
+# numpy's text reader. Lines 0-4 are the header, 'bad 2', two bad members and
 # 'angles 16'; no token of them takes a digit separator either.
 @pytest.mark.parametrize(
     "edit,expected",
@@ -497,8 +506,8 @@ def _separate(line_index, token_index):
         (lambda lines: lines, None),
         (_edit_last(lambda line: line.replace(" ", "\t")), None),
         (_edit_last(lambda line: f" +{line}\t "), None),
-        (_edit_last(lambda line: line.replace(" ", "\x1f")), None),
-        (lambda lines: lines + ["junk", "", "0 7"], None),
+        (_edit_last(lambda line: line.replace(" ", "\x1f")), "separator"),
+        (lambda lines: lines + ["junk", "", "0 7"], "line 22 follows the last record"),
         (_edit_last(lambda line: "15"), "z cosine"),
         (_edit_last(lambda line: line + " 0.5"), "z cosine"),
         (_edit_last(lambda line: "15 0x1p-1"), "z cosine"),
@@ -521,8 +530,19 @@ def _separate(line_index, token_index):
         (_separate(0, 3), "could not convert"),
         (_separate(0, 5), "invalid literal"),
         (_separate(1, 1), "invalid literal"),
-        (_separate(2, 0), "invalid literal"),
+        (_separate(2, 0), "bad-set lines must be decimal integers"),
         (_separate(4, 1), "invalid literal"),
+        (_edit_last(lambda line: line.replace(" ", "\x0c")), None),
+        (lambda lines: [*lines[:4], lines[4].replace(" ", "\x0b"), *lines[5:]], None),
+        (_join(1), "expected 'bad <count>' line"),
+        (_edit_last(lambda line: line + "\x1c"), "separator"),
+        (_edit_last(lambda line: line + "\x1d"), "separator"),
+        (_edit_last(lambda line: line + "\x1e"), "separator"),
+        (lambda lines: "\r".join(lines) + "\r", "must end with a newline"),
+        (lambda lines: ("\n".join(lines) + "\n")[:-8], "must end with a newline"),
+        (lambda lines: [*lines[:3], lines[2], *lines[4:]], "bad set lists main value 3 twice"),
+        (lambda lines: lines + [""], "line 22 follows the last record"),
+        (lambda lines: lines + ["junk"], "line 22 follows the last record"),
     ],
     ids=["unedited", "tab", "sign-and-spaces", "unit-separator", "trailing-lines", "one-token",
          "three-tokens", "hex-float", "digit-separator", "infinity", "nan", "float-z", "huge-z",
@@ -530,13 +550,19 @@ def _separate(line_index, token_index):
          "blank-line-then-block-line",
          "all-blank", "all-whitespace", "n-separator", "k-separator", "a-separator",
          "b-separator", "seed-separator", "bad-count-separator", "bad-member-separator",
-         "angles-count-separator"],
+         "angles-count-separator", "form-feed-in-line", "vertical-tab-in-line",
+         "form-feed-joins-lines", "file-separator", "group-separator", "record-separator",
+         "cr-line-ends", "no-final-newline", "repeated-bad-member", "blank-line-after",
+         "junk-line-after"],
 )
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_operator_file_parity(edit, expected, eol, recwarn):
     jop = build_pseudo_identity(4, 1, a=1e-3, b=0.125, angle_mode="random",
                                 bad_mode="random-angle", seed=5)
-    text = eol.join(edit(serialize_pseudo_identity(jop).splitlines())) + eol
+    edited = edit(serialize_pseudo_identity(jop).splitlines())
+    if not isinstance(edited, str):
+        edited = "\n".join(edited) + "\n"
+    text = edited.replace("\n", eol)
     if expected is None:
         assert np.array_equal(parse_pseudo_identity(text).cosines, jop.cosines)
     else:

@@ -290,7 +290,7 @@ def test_permutation_file_roundtrip():
         ("n=2\n0\n1\n2\n3\n4\n", "rows"),
         ("n=2\n0\n1\nx\n3\n", "decimal"),
         ("n=2\n0\n1\n2\n7\n", "range"),
-        ("n=2\n0\n0\n2\n3\n", "bijection"),
+        ("n=2\n0\n0\n2\n3\n", "twice"),
         ("n=3\n0\n", "even"),
     ],
 )
@@ -308,7 +308,8 @@ _SIXTEEN = [str(v) for v in range(16)]
 
 # Each file is accepted with the table 0, 1, ... or refused with the message.
 # Rows are read by numpy's text reader: decimal integers with an optional
-# sign, spaces or tabs around them, LF or CRLF line ends.
+# sign, spaces or tabs around them. Lines end only at LF, the last one too;
+# CR, vertical tab and form feed read as spaces; \x1c-\x1f are refused.
 @pytest.mark.parametrize(
     "text,expected",
     [
@@ -317,7 +318,7 @@ _SIXTEEN = [str(v) for v in range(16)]
         (_table_text([" 0", "1 ", "\t2\t", " \t3"]), None),
         (_table_text(["\r0", "1\r", "2", "3"]), None),
         (_table_text(["\x0c0", "1\x0b", "2", "3"]), None),
-        (_table_text(["0", "-0", "2", "3"]), "bijection"),
+        (_table_text(["0", "-0", "2", "3"]), "table lists main value 0 twice"),
         (_table_text(["0", "", "2", "3"]), "decimal integers, one per line"),
         (_table_text(["0", "1", "", "2", "3"]), "expected 4 table rows, found 5"),
         (_table_text(["", "", "", ""]), "decimal integers, one per line"),
@@ -334,16 +335,23 @@ _SIXTEEN = [str(v) for v in range(16)]
         (_table_text(["0", "1\x00", "2", "3"]), "decimal integers"),
         (_table_text(["0", "\x00", "2", "3"]), "decimal integers"),
         (_table_text([*_SIXTEEN[:10], "1_0", *_SIXTEEN[11:]], n=4), "decimal integers"),
-        (_table_text(["0", "1\x1c", "2", "3"]), "decimal integers"),
+        (_table_text(["0", "1\x1c", "2", "3"]), "separator"),
         (_table_text([*_SIXTEEN[:4], "\u0664", *_SIXTEEN[5:]], n=4), "ASCII"),
-        (_table_text(_SIXTEEN, n="0_4"), "n=<int>"),
+        (_table_text(_SIXTEEN, n="0_4"), "invalid literal"),
+        (_table_text(["0", "1\x1d", "2", "3"]), "separator"),
+        (_table_text(["0\x1e", "1", "2", "3"]), "separator"),
+        (_table_text(["0", "1", "2", "3"], eol="\r"), "must end with a newline"),
+        (_table_text(["0", "1", "2", "3"])[:-1], "must end with a newline"),
+        (_table_text(["0", "1", "2", "3", ""]), "expected 4 table rows, found 5"),
+        (_table_text(["0", "1", "2", "3", "junk"]), "expected 4 table rows, found 5"),
     ],
     ids=["crlf", "plus-sign", "spaces-and-tabs", "stray-cr", "form-feed-and-vtab",
          "minus-zero", "blank-row", "extra-blank-row", "all-blank", "all-whitespace",
          "comment-row", "trailing-comment", "two-tokens", "two-columns", "cr-inside-row",
          "float-row", "int64-overflow", "negative", "quoted", "nul-after-digit",
          "nul-row", "digit-separator", "file-separator", "non-ascii-digit",
-         "header-digit-separator"],
+         "header-digit-separator", "group-separator", "record-separator", "cr-line-ends",
+         "no-final-newline", "blank-line-after", "junk-line-after"],
 )
 def test_permutation_file_parity(text, expected, recwarn):
     if expected is None:
