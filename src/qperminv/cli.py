@@ -40,8 +40,8 @@ from .harness import (
     write_manifest,
 )
 from .invert import EXACT_THRESHOLD, PSEUDO_THRESHOLD, run_stepwise_test
-from .ops import ANGLE_MODES, BAD_MODES, build_pseudo_identity, parse_pseudo_identity
-from .perm import FAMILIES, _read_capped, build_permutation, load_permutation, permutation_to_text
+from .ops import ANGLE_MODES, BAD_MODES, _bad_fraction, build_pseudo_identity, parse_pseudo_identity
+from .perm import FAMILIES, _read_input, build_permutation, load_permutation, permutation_to_text
 
 
 _FINITE = (math.isfinite, "a finite number")
@@ -127,14 +127,12 @@ class UsageError(Exception):
 def _resolve_pseudo_identity(args, n: int):
     """Operator from a serialized file when given, else built from the flags."""
     if args.j_file:
-        jop = parse_pseudo_identity(_read_capped(args.j_file, "ascii"))
+        jop = parse_pseudo_identity(_read_input(args.j_file))
         if jop.n != n:
             raise ValueError(f"operator file is for n={jop.n}, permutation has n={n}")
         return jop
     j_seed = args.j_seed if args.j_seed is not None else derive_seed(args.master_seed, "pseudo-identity")
-    if args.bad_size is not None and args.bad_size > 1 << n:
-        raise ValueError(f"bad_size {args.bad_size} exceeds 2^{n}")
-    b = args.b if args.bad_size is None else args.bad_size / (1 << n)
+    b = args.b if args.bad_size is None else _bad_fraction(n, args.bad_size)
     return build_pseudo_identity(
         n, args.k, a=args.a, b=b,
         bad_mode=args.bad_mode, angle_mode=args.angle_mode, seed=j_seed,
@@ -142,9 +140,9 @@ def _resolve_pseudo_identity(args, n: int):
 
 
 def _resolve_inputs(args, with_pseudo: bool):
-    """The permutation, xs, operator (None for the exact reflections) and
-    threshold of run-inv, run-avinv and test-stages. A bad flag raises
-    UsageError, bad input ValueError or OSError."""
+    """The permutation, xs, operator (None for the exact reflections),
+    threshold and manifest config of run-inv, run-avinv and test-stages. A bad
+    flag raises UsageError, bad input ValueError or OSError."""
     least_k = 1 if with_pseudo else 0  # a pseudo-identity needs an ancilla
     if args.k < least_k:
         raise UsageError(f"--k must be at least {least_k}, got {args.k}")
@@ -154,7 +152,13 @@ def _resolve_inputs(args, with_pseudo: bool):
     threshold = args.threshold
     if threshold is None:
         threshold = EXACT_THRESHOLD if jop is None else PSEUDO_THRESHOLD
-    return perm, xs, jop, threshold
+    config = {"command": args.command, "n": perm.n, "family": perm.family, "perm_seed": perm.seed,
+              "k": args.k if jop is None else jop.k, "x": args.x, "threshold": threshold,
+              "master_seed": args.master_seed}
+    if jop is not None:
+        config.update({"a": jop.a, "b": jop.b, "bad_size": jop.bad_size, "j_seed": jop.seed,
+                       "bad_mode": jop.bad_mode, "angle_mode": jop.angle_mode})
+    return perm, xs, jop, threshold, config
 
 
 def _write_output(command: str, path: str, text: str, config: dict, derived=None) -> int:
@@ -190,28 +194,11 @@ def cmd_gen_perm(args) -> int:
 
 
 def _cmd_run(args, with_pseudo: bool) -> int:
-    perm, xs, jop, threshold = _resolve_inputs(args, with_pseudo)
-    k = args.k if jop is None else jop.k
+    perm, xs, jop, threshold, config = _resolve_inputs(args, with_pseudo)
     runs = run_batch(perm, jop, xs, not args.no_trace, threshold)
     csv_text = run_reports_to_csv(perm, jop, runs)
-    out_dir = resolve_out_dir(args.out_dir)
-    command = "run-avinv" if with_pseudo else "run-inv"
-    path = args.out or os.path.join(out_dir, command + ".csv")
-    config = {
-        "command": command,
-        "n": perm.n,
-        "family": perm.family,
-        "perm_seed": perm.seed,
-        "k": k,
-        "x": args.x,
-        "trace": not args.no_trace,
-        "threshold": threshold,
-        "master_seed": args.master_seed,
-    }
-    if jop is not None:
-        config.update({"a": jop.a, "b": jop.b, "bad_size": jop.bad_size, "j_seed": jop.seed,
-                       "bad_mode": jop.bad_mode, "angle_mode": jop.angle_mode})
-    return _write_output(command, path, csv_text, config)
+    path = args.out or os.path.join(resolve_out_dir(args.out_dir), args.command + ".csv")
+    return _write_output(args.command, path, csv_text, {**config, "trace": not args.no_trace})
 
 
 def cmd_check_lemmas(args) -> int:
@@ -225,7 +212,7 @@ def cmd_check_lemmas(args) -> int:
 def cmd_test_stages(args) -> int:
     if args.corrupt_stage is not None and args.provider != "corrupted":
         raise UsageError("--corrupt-stage needs --provider corrupted")
-    perm, xs, jop, threshold = _resolve_inputs(args, args.provider == "pseudo")
+    perm, xs, jop, threshold, config = _resolve_inputs(args, args.provider == "pseudo")
     if args.provider == "corrupted":
         if args.corrupt_stage is None:
             raise UsageError("--provider corrupted requires --corrupt-stage")
@@ -242,7 +229,8 @@ def cmd_test_stages(args) -> int:
         "first_failing_stage": report.first_failing_stage,
         "all_pass": report.all_pass,
     }
-    _write_json("test-stages", args.out, payload, payload)
+    config.update({"provider": args.provider, "corrupt_stage": args.corrupt_stage})
+    _write_json("test-stages", args.out, payload, config)
     return 0 if report.all_pass else 1
 
 

@@ -36,6 +36,7 @@ from .ops import (
     ANGLE_MODES,
     BAD_MODES,
     PseudoIdentity,
+    _bad_fraction,
     _checked_bad_lut,
     _draw_operator,
     _sines,
@@ -227,7 +228,7 @@ def validate_sweep_config(config: dict) -> dict:
 
 def load_sweep_config(path: str) -> dict:
     try:  # the JSON reader and the repr in a rule's message both recurse
-        return validate_sweep_config(json.loads(_read_capped(path, "utf-8")))
+        return validate_sweep_config(json.loads(_read_capped(path).decode("utf-8")))
     except RecursionError:
         raise ValueError("config is nested too deeply") from None
 
@@ -273,9 +274,7 @@ def sweep_rows(config: dict) -> tuple[list[str], dict]:
             perm = build_permutation(family, n, seed=perm_seed)
             for a in grid["a"]:
                 for bad_size in grid["bad_size"]:
-                    if bad_size > (1 << n):
-                        raise ValueError(f"bad_size {bad_size} exceeds 2^{n}")
-                    b = bad_size / (1 << n)
+                    b = _bad_fraction(n, bad_size)
                     bad, cosines = _draw_operator(n, a, b, config["bad_mode"],
                                                   config["angle_mode"], j_seed)
                     _checked_bad_lut(cosines, bad, a)
@@ -431,7 +430,7 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0) -> list[dict]
     sweeps = []
     for bad_size in (1, 2, 4):
         jop = build_pseudo_identity(
-            n, a=a_small, b=bad_size / (1 << n),
+            n, a=a_small, b=_bad_fraction(n, bad_size),
             seed=derive_seed(seed, f"battery-jop/n={n}/bad={bad_size}"),
         )
         sweeps.extend(_error_sweeps(perm, jop, None, range(n // 2 + 1)))
@@ -444,7 +443,7 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0) -> list[dict]
 
     residuals = []
     for bad_size in (1, 2, 4):
-        b = bad_size / (1 << n)
+        b = _bad_fraction(n, bad_size)
         q = (1.0 / b) ** 0.25 / math.sqrt(2.0 * n)
         jop = build_pseudo_identity(
             n, a=0.0, b=b, seed=derive_seed(seed, f"battery-jop/n={n}/bad={bad_size}"),

@@ -75,7 +75,9 @@ class PseudoIdentity:
     For each main value z the operator rotates (|z,0>, |z,1>) by the 2x2 real
     rotation with cosine cosines[z]; every w >= 2 component is untouched. Good
     z (outside the bad set) have cosine in [1-a, 1], so the overlap defect
-    |1 - <z,0|J|z,0>| is at most a. Bad-set cosines are unconstrained.
+    |1 - <z,0|J|z,0>| is at most a. Bad-set cosines are unconstrained. The bad
+    set is a list or array of main values, each in [0, 2^n) and listed once,
+    as in the operator file.
     """
 
     __slots__ = ("n", "k", "a", "b", "bad_set", "cosines", "sines",
@@ -103,17 +105,14 @@ class PseudoIdentity:
             raise ValueError(f"unknown angle mode {angle_mode!r}")
         if bad_mode not in BAD_MODES:
             raise ValueError(f"unknown bad mode {bad_mode!r}")
-        size = 1 << n
-        bad = support_members(bad_set)
-        if bad.size and (bad[0] < 0 or bad[-1] >= size):
-            raise ValueError(f"bad-set member out of range for {n} bits")
+        cosines = np.asarray(cosines, dtype=np.float64)
+        if cosines.shape != (1 << n,):  # before `_check_listing` counts 2^n values
+            raise ValueError(f"need one cosine per main value, got shape {cosines.shape}")
+        bad = np.sort(_check_listing(np.asarray(bad_set, dtype=np.int64).reshape(-1), n, "bad set"))
         if bad.size > bad_set_capacity(n, b):
             raise ValueError(
                 f"bad set of size {bad.size} exceeds floor(b * 2^n) = {bad_set_capacity(n, b)}"
             )
-        cosines = np.asarray(cosines, dtype=np.float64)
-        if cosines.shape != (size,):
-            raise ValueError(f"need one cosine per main value, got shape {cosines.shape}")
         lut = _checked_bad_lut(cosines, bad, a)
         self.n = int(n)
         self.k = int(k)
@@ -145,6 +144,13 @@ class PseudoIdentity:
 
 def _sines(cosines: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 1.0 - cosines * cosines))
+
+
+def _bad_fraction(n: int, bad_size: int) -> float:
+    """b for a bad set of bad_size members, refused past 2^n."""
+    if bad_size > 1 << n:
+        raise ValueError(f"bad_size {bad_size} exceeds 2^{n}")
+    return bad_size / (1 << n)
 
 
 def bad_set_capacity(n: int, b: float) -> int:

@@ -224,17 +224,23 @@ def _check_listing(values: np.ndarray, n: int, listing: str) -> np.ndarray:
 
 
 def load_permutation(path) -> Permutation:
-    return permutation_from_text(_read_capped(path, "ascii"))
+    return permutation_from_text(_read_input(path))
+
+
+def _read_input(path) -> str:
+    """A permutation or operator file as text that `_file_lines` alone judges:
+    each non-ASCII byte reads as a lone surrogate, which it refuses as not ASCII."""
+    return _read_capped(path).decode("ascii", "surrogateescape")
 
 
 # twice the largest valid file: about 2^(n+1) rows of under 32 bytes
 _MAX_FILE_BYTES = 128 << DEFAULT_MAX_BITS
 
 
-def _read_capped(path, encoding: str) -> str:
-    """The decoded file, refused unread past _MAX_FILE_BYTES bytes; line ends stay as written."""
+def _read_capped(path) -> bytes:
+    """The file's bytes, refused unread past _MAX_FILE_BYTES bytes."""
     with open(path, "rb") as fh:
         data = fh.read(_MAX_FILE_BYTES + 1)
     if len(data) > _MAX_FILE_BYTES:
         raise ValueError(f"{path} is longer than {_MAX_FILE_BYTES} bytes")
-    return data.decode(encoding)
+    return data

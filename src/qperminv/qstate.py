@@ -1,5 +1,5 @@
 """Dense statevectors over a main register of n qubits plus k ancilla qubits.
-No command builds one; they are the reference the tests check closed forms against.
+No command calls this module; it is the reference the tests check closed forms against.
 
 Amplitudes live at flat index y * 2**k + w, where y is the main-register value
 and w the ancilla value. Any classical conditioning value x stays outside the

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -44,7 +45,7 @@ from qperminv.harness import (
 )
 from qperminv.ops import ANGLE_MODES, BAD_MODES, _checked_bad_lut, bad_set_capacity
 from qperminv.perm import _MAX_FILE_BYTES, load_permutation
-from qperminv.qstate import signed_support
+from qperminv.qstate import StateVector, signed_support
 
 
 @pytest.fixture(autouse=True)
@@ -950,6 +951,48 @@ def test_sweep_builds_no_operator(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_no_command_calls_the_dense_simulator(tmp_path, monkeypatch, capsys):
+    """Every `qperminv.qstate` function, wherever a qperminv module binds it,
+    and `StateVector.__init__` count their calls: no command makes one."""
+    perm, op = tmp_path / "perm.txt", tmp_path / "op.txt"
+    op.write_text(serialize_pseudo_identity(build_pseudo_identity(4, a=1e-3, b=2 / 16, seed=3)))
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, module in list(sys.modules.items()):
+        if key == "qperminv" or key.startswith("qperminv."):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value.__module__ == "qperminv.qstate":
+                    monkeypatch.setattr(module, attr, counting(attr, value))
+    monkeypatch.setattr(StateVector, "__init__", counting("StateVector", StateVector.__init__))
+    source = ["--family", "random", "--n", "4", "--seed", "7"]
+    for argv, code in [
+        (["gen-perm", *source, "--out", str(perm)], 0),
+        (["run-inv", *source], 0),
+        (["run-avinv", *source, "--bad-size", "2", "--a", "1e-3"], 0),
+        (["run-avinv", "--perm-file", str(perm), "--bad-size", "2"], 0),
+        (["run-avinv", *source, "--j-file", str(op)], 0),
+        (["test-stages", *source], 0),
+        (["test-stages", *source, "--provider", "pseudo", "--a", "1e-6"], 0),
+        (["test-stages", *source, "--provider", "corrupted", "--corrupt-stage", "1"], 1),
+        (["check-lemmas", "--n", "4", "--count", "50"], 0),
+        (["sweep", "--config", str(sweep_config(tmp_path))], 0),
+        (["params", "--r", "1", "--n", "4"], 0),
+    ]:
+        if argv[0] in ("run-inv", "run-avinv", "sweep"):
+            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == code, capsys.readouterr().err
+        assert calls == [], argv
+    sys.modules["qperminv.qstate"].make_signed_uniform([0], n=2)  # the wrappers count
+    assert calls == ["make_signed_uniform", "signed_support", "support_members",
+                     "support_members", "StateVector"]
+
+
 def test_sweep_process_imports_no_jsonschema(tmp_path):
     cfg, out = sweep_config(tmp_path), tmp_path / "s.csv"
     code = ("import sys\n"
@@ -1029,15 +1072,14 @@ def _ends_small(argv, match, capsys, code=1):
 
 
 # No command builds a state vector, so --k is checked only for its least
-# value and echoed in the manifest (test-stages echoes none): no size of it
-# is refused.
+# value and echoed in the manifest: no size of it is refused.
 @pytest.mark.parametrize("argv, k", [
     pytest.param(["run-avinv", "--family", "identity", "--n", "16", "--k", "11", "--x", "0"], 11,
                  id="run-avinv-n16-k11"),
     pytest.param(["run-inv", "--family", "identity", "--n", "2", "--k", "40"], 40,
                  id="run-inv-k40"),
     pytest.param(["test-stages", "--family", "identity", "--n", "4", "--provider", "pseudo",
-                  "--k", "40"], None, id="test-stages-k40"),
+                  "--k", "40"], 40, id="test-stages-k40"),
     pytest.param(["check-lemmas", "--n", "2", "--count", "1", "--k", "40"], 40,
                  id="check-lemmas-k40"),
 ])
@@ -1177,6 +1219,11 @@ REFUSED_INPUTS = {
                               _operator_with("worst-case/", "bogus/")),
     "op-unknown-bad-mode": (1, "unknown bad mode 'bogus'", "op.txt",
                             _operator_with("/full-rotation", "/bogus")),
+    "perm-non-ascii": (1, "permutation file must be ASCII", "perm.txt", "n=2\n0\n1\n\u00d92\n3\n"),
+    "op-non-ascii": (1, "pseudo-identity file must be ASCII", "op.txt",
+                     _operator_with("angles 0", "angles\u00a00")),
+    "sweep-bad-size-past-2^n": (1, "bad_size 5 exceeds 2^2", "config.json", json.dumps(
+        {"master_seed": 5, "grid": {"n": [2], "family": ["random"], "a": [0.0], "bad_size": [5]}})),
 }
 
 

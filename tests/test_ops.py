@@ -200,6 +200,18 @@ def test_bad_set_capacity_enforced():
         build_pseudo_identity(2, 0, a=0.0, b=0.0)
 
 
+# the operator file's rule: a bad set listed in Python is refused where a
+# member lies outside [0, 2^n) or is listed twice, not folded
+@pytest.mark.parametrize("bad_set, match", [
+    ([3, 3], "bad set lists main value 3 twice"),
+    ([16], "main value 16 out of range for 4 bits"),
+    ([-1], "main value -1 out of range for 4 bits"),
+], ids=["twice", "past-2^n", "negative"])
+def test_bad_set_listing_is_checked(bad_set, match):
+    with pytest.raises(ValueError, match=match):
+        PseudoIdentity(4, 1, 0.0, 2 / 16, bad_set, np.full(16, 1.0))
+
+
 @pytest.mark.parametrize(
     "z,cosine,match",
     [(0, float("nan"), "-1, 1"), (1, float("nan"), "-1, 1"), (1, -1.5, "-1, 1"),
