@@ -308,11 +308,10 @@ def _check_entry(name: str, measured: float, bound: float, passed: bool) -> dict
     }
 
 
-# Cosines the randomized suite holds at once. A group has a fixed numpy cost: at n = 8, 2^14
-# took 0.53x the suite time of 2^12 at +0.6 MB of peak memory, and 2^15 0.51x at +2 MB.
+# Cosines the suite holds at once, and instances whose parameters it draws at once (a block's
+# n = 2 instances fill a chunk). They fix the draw stream, so are not tuning constants. At n = 8,
+# 2^14 took 0.54x the suite time of 2^12 at +0.9 MB tracemalloc peak, 2^15 0.51x at +2 MB.
 SUITE_CHUNK = 1 << 14
-# Instances whose parameters are drawn at once: a block's n = 2 instances fill
-# one chunk.
 SUITE_BLOCK = SUITE_CHUNK >> 2
 SUITE_A = (0.0, 1e-6, 1e-3)
 SUITE_B = (0.0, 1.0 / 16.0, 1.0 / 4.0)
@@ -320,19 +319,17 @@ SUITE_B = (0.0, 1.0 / 16.0, 1.0 / 4.0)
 
 def _suite_chunk(a, values, in_bad, in_s, in_t) -> tuple[np.ndarray, ...]:
     """|S|, |S ∩ bad| and d = mean_S (1 - c) for a group of randomized
-    instances of one size n. Row i of the (count, 2^n) arrays is instance i:
-    its cosines and its bad set, S and T as masks over its main values.
-
-    Every row is checked at once as `_checked_bad_lut` and `signed_support`
-    check one instance, each against its own a[i]. Each d is a row reduce of
-    1 - c with 0 off S, as `analysis._deficit` sums one S."""
+    instances of one size n: (count, 2^n) rows of cosines and of bad, S and T
+    masks. Every row is checked at once, as `_checked_bad_lut` and
+    `signed_support` check one instance, against its own a[i]; each d is one
+    row reduce of (1 - c) * [y in S], as `analysis._deficit` sums one S."""
     _checked_bad_lut(values, in_bad, a)
     s_size = np.count_nonzero(in_s, axis=1)
     if not s_size.all():
         raise ValueError("support must be nonempty")
-    if (in_t & ~in_s).any():
+    if (in_t > in_s).any():
         raise ValueError("flipped set must be a subset of the support")
-    d = np.add.reduce(np.where(in_s, 1.0 - values, 0.0), axis=1)
+    d = np.add.reduce((1.0 - values) * in_s, axis=1)
     return s_size, np.count_nonzero(in_s & in_bad, axis=1), d / s_size
 
 
@@ -358,18 +355,22 @@ def _suite_group(rng, n: int, params: np.ndarray) -> tuple:
     capacity = np.take([bad_set_capacity(n, b) for b in SUITE_B], params[:, 2])
     s_size = rng.integers(1, size + 1, size=count)
     t_size = rng.integers(0, s_size + 1)
-    uniform, s_key, bad_key = np.split(
-        rng.random((2 * count + np.count_nonzero(capacity), size)), (count, 2 * count))
-    order = np.sort(s_key, axis=1)
+    uniform, keys = np.split(rng.random((2 * count + np.count_nonzero(capacity), size)), (count,))
+    order = np.sort(keys, axis=1)  # the S key rows, then the bad sets'
+    in_s, in_t = (_least(keys[:count], order[:count], taken) for taken in (s_size, t_size))
     in_bad = np.zeros((count, size), dtype=bool)
-    in_bad[capacity > 0] = _least(bad_key, np.sort(bad_key, axis=1), capacity[capacity > 0])
-    # good cosines: 1 - a (worst-case) or uniform on [1 - a, 1] (random)
-    values = np.where(params[:, 4, None] == ANGLE_MODES.index("random"),
-                      1.0 - a[:, None] * uniform, (1.0 - a)[:, None])
-    # bad cosines: 0 (full-rotation) or uniform on [-1, 1] (random-angle)
-    random_bad = np.repeat(params[:, 3] == BAD_MODES.index("random-angle"), capacity)
-    values[in_bad] = np.where(random_bad, 2.0 * uniform[in_bad] - 1.0, 0.0)
-    return a, values, in_bad, _least(s_key, order, s_size), _least(s_key, order, t_size)
+    in_bad[capacity > 0] = _least(keys[count:], order[count:], capacity[capacity > 0])
+    # good cosines 1 - a u (random) or 1 - a (worst-case), bad ones 2u - 1 (random-angle) or 0
+    values = uniform * a[:, None]
+    np.copyto(values, a[:, None], where=params[:, 4, None] == ANGLE_MODES.index("worst-case"))
+    np.subtract(1.0, values, out=values)
+    values *= ~in_bad
+    uniform *= 2.0
+    uniform -= 1.0
+    uniform[params[:, 3] == BAD_MODES.index("full-rotation")] = 0.0
+    uniform *= in_bad
+    values += uniform
+    return a, values, in_bad, in_s, in_t
 
 
 def _suite_draws(n_max: int, count: int, seed: int):
@@ -417,8 +418,7 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0) -> list[dict]
         passed[entry] = passed[entry] and bool(np.all(margin >= -BOUND_TOL))
 
     for index, _, chunk in _suite_draws(n_max, count, seed):
-        s_size, s_bad, d = _suite_chunk(*chunk)
-        length, bound, perp = _margins(chunk[0], s_size, s_bad, d)
+        length, bound, perp = _margins(chunk[0], *_suite_chunk(*chunk))
         fold(0, index, length, bound)
         fold(1, index, perp, length)
     checks = [_check_entry(name, *worst[entry][2:], passed[entry])

@@ -76,8 +76,8 @@ class PseudoIdentity:
     rotation with cosine cosines[z]; every w >= 2 component is untouched. Good
     z (outside the bad set) have cosine in [1-a, 1], so the overlap defect
     |1 - <z,0|J|z,0>| is at most a. Bad-set cosines are unconstrained. The bad
-    set is a list or array of main values, each in [0, 2^n) and listed once,
-    as in the operator file.
+    set is a flat list or integer array of main values, each in [0, 2^n) and
+    listed once, as in the operator file.
     """
 
     __slots__ = ("n", "k", "a", "b", "bad_set", "cosines", "sines",
@@ -108,12 +108,14 @@ class PseudoIdentity:
         cosines = np.asarray(cosines, dtype=np.float64)
         if cosines.shape != (1 << n,):  # before `_check_listing` counts 2^n values
             raise ValueError(f"need one cosine per main value, got shape {cosines.shape}")
-        bad = np.sort(_check_listing(np.asarray(bad_set, dtype=np.int64).reshape(-1), n, "bad set"))
+        if (bad := np.asarray(bad_set)).ndim != 1 or (bad.size and bad.dtype.kind not in "iu"):
+            raise ValueError(f"bad set must be a 1-D list of integers, got {bad.dtype} {bad.shape}")
+        bad = np.sort(_check_listing(bad.astype(np.int64), n, "bad set"))
         if bad.size > bad_set_capacity(n, b):
             raise ValueError(
                 f"bad set of size {bad.size} exceeds floor(b * 2^n) = {bad_set_capacity(n, b)}"
             )
-        lut = _checked_bad_lut(cosines, bad, a)
+        self._bad_lut = _checked_bad_lut(cosines, bad, a)
         self.n = int(n)
         self.k = int(k)
         self.a = float(a)
@@ -124,16 +126,15 @@ class PseudoIdentity:
         self.bad_mode = bad_mode
         self.angle_mode = angle_mode
         self.seed = seed
-        self._bad_lut = lut
 
     @property
     def bad_size(self) -> int:
         return len(self.bad_set)
 
     def count_bad(self, members) -> int:
-        """|members ∩ bad set|."""
-        members = np.asarray(members, dtype=np.int64)
-        return int(self._bad_lut[members].sum())
+        """|members ∩ bad set|, each member in [0, 2^n) and counted once."""
+        members = _check_listing(np.unique(np.asarray(members, dtype=np.int64)), self.n, "members")
+        return int(np.count_nonzero(self._bad_lut[members]))
 
     def __repr__(self) -> str:
         return (
@@ -159,15 +160,13 @@ def bad_set_capacity(n: int, b: float) -> int:
 
 
 def _checked_bad_lut(cosines: np.ndarray, bad: np.ndarray, a) -> np.ndarray:
-    """The bad set (members or a mask) as a lookup table shaped like the
-    cosines, once they pass: |c| <= 1 everywhere and c >= 1 - a off the bad
-    set, within SCALAR_SLACK. Each row of the last axis has its own `a`."""
+    """The bad set (members, or a mask that is the table) as a lookup table,
+    once the cosines pass: |c| <= 1, and c >= 1 - a (a per row) off the bad
+    set, read as the row minimum of c + 3 * table; within SCALAR_SLACK."""
     if not np.abs(cosines).max() <= 1.0 + SCALAR_SLACK:  # a NaN fails too
         raise ValueError("cosines must lie in [-1, 1]")
-    lut = np.zeros(cosines.shape, dtype=bool)
-    lut[bad] = True
-    good_min = np.where(lut, 1.0, cosines).min(axis=-1)
-    if not (good_min >= 1.0 - np.asarray(a) - SCALAR_SLACK).all():
+    lut = bad if bad.dtype == bool else np.bincount(bad, minlength=cosines.size) > 0
+    if not ((cosines + 3.0 * lut).min(axis=-1) >= 1.0 - np.asarray(a) - SCALAR_SLACK).all():
         raise ValueError("good-state cosines must lie in [1 - a, 1]")
     return lut
 

@@ -43,7 +43,8 @@ from qperminv.harness import (
     fmt17,
     lemma_battery,
 )
-from qperminv.ops import ANGLE_MODES, BAD_MODES, _checked_bad_lut, bad_set_capacity
+from qperminv.ops import (ANGLE_MODES, BAD_MODES, SCALAR_SLACK, _checked_bad_lut,
+                          bad_set_capacity)
 from qperminv.perm import _MAX_FILE_BYTES, load_permutation
 from qperminv.qstate import StateVector, signed_support
 
@@ -516,6 +517,7 @@ CHUNK_CORRUPTIONS = {
     9: (5, 2, [1], "flipped set must be a subset of the support"),
     10: (5, 0, [2], "flipped set must be a subset of the support"),
     11: (5, 1, [0], "flipped set must be a subset of the support"),
+    12: (2, 2, [1.0 - 1e-6, 1.0, 1.0, np.nan], "cosines must lie in"),  # NaN on a bad entry
 }
 
 
@@ -536,6 +538,27 @@ def test_suite_chunk_checks_each_good_cosine_against_its_own_a():
     chunk[2][1][2] = 1.0 - 1e-3  # below 1 - a = 1 for instance 1
     with pytest.raises(ValueError, match="good-state"):
         _suite_chunk(*_packed(*chunk))
+
+
+# instance 1 of `_valid_chunk` (a = 0, S = {2, 3}, T = {}) -> its new cosines and bad set
+CHUNK_EDGES = {
+    "bad-at-minus-one-minus-slack": ([1.0, 1.0, -(1.0 + SCALAR_SLACK), 1.0], [2]),
+    "good-above-one-on-S": ([1.0, 1.0, 1.0 + SCALAR_SLACK, 1.0], []),
+    "good-above-one-off-S": ([1.0 + SCALAR_SLACK, 1.0, 1.0, 1.0], []),
+    "ones-on-S-above-one-off-S": ([1.0 + SCALAR_SLACK, 1.0 + SCALAR_SLACK, 1.0, 1.0], []),
+}
+
+
+@pytest.mark.parametrize("cosines,bad", CHUNK_EDGES.values(), ids=CHUNK_EDGES)
+def test_suite_chunk_accepts_edge_cosines_and_reduces_them_as_alone(cosines, bad):
+    n, a, all_cosines, bads, supports, flips = _valid_chunk()
+    all_cosines[1], bads[1] = np.array(cosines), np.array(bad, dtype=np.int64)
+    d = _suite_chunk(*_packed(n, a, all_cosines, bads, supports, flips))[2]
+    for i in range(len(a)):
+        alone = _deficit(SimpleNamespace(n=n, cosines=all_cosines[i]), supports[i], flips[i])[1]
+        assert d[i] == alone and math.copysign(1.0, d[i]) == math.copysign(1.0, alone)
+    if (all_cosines[1][supports[1]] == 1.0).all():
+        assert d[1] == 0.0 and math.copysign(1.0, d[1]) == 1.0
 
 
 def test_randomized_suite_memory_does_not_grow_with_count():

@@ -206,10 +206,29 @@ def test_bad_set_capacity_enforced():
     ([3, 3], "bad set lists main value 3 twice"),
     ([16], "main value 16 out of range for 4 bits"),
     ([-1], "main value -1 out of range for 4 bits"),
-], ids=["twice", "past-2^n", "negative"])
+    ([2.5], r"1-D list of integers, got float64 \(1,\)"),
+    ([[1, 2]], r"1-D list of integers, got int64 \(1, 2\)"),
+    ([True], r"1-D list of integers, got bool \(1,\)"),
+    ({1, 2}, r"1-D list of integers, got object \(\)"),
+], ids=["twice", "past-2^n", "negative", "non-integer", "nested", "boolean", "python-set"])
 def test_bad_set_listing_is_checked(bad_set, match):
     with pytest.raises(ValueError, match=match):
         PseudoIdentity(4, 1, 0.0, 2 / 16, bad_set, np.full(16, 1.0))
+
+
+@pytest.mark.parametrize("bad_set", [[], [5, 2], np.array([5, 2]), np.array([5, 2], dtype=np.uint8),
+                                     np.array([], dtype=np.int64)])
+def test_flat_integer_bad_sets_are_accepted(bad_set):
+    jop = PseudoIdentity(4, 1, 0.0, 2 / 16, bad_set, np.full(16, 1.0))
+    assert jop.bad_set == tuple(sorted(int(z) for z in bad_set))
+
+
+def test_count_bad_counts_each_member_in_range_once():
+    jop = PseudoIdentity(2, 1, 0.0, 0.25, [3], np.full(4, 1.0))
+    assert [jop.count_bad(m) for m in ([], [3], [3, 3], [0, 1, 2], [3, 0, 3])] == [0, 1, 1, 0, 1]
+    for outside in ([-1], [4], [0, 3, 4]):
+        with pytest.raises(ValueError, match="out of range for 2 bits"):
+            jop.count_bad(outside)
 
 
 @pytest.mark.parametrize(
