@@ -204,8 +204,8 @@ def inversion_residual_stats(
     term, whenever that bound is at most 1; the count{residual > 1/q} is also
     checked against the mean via the usual averaging argument.
     """
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"q must be finite and positive, got {q}")
     n = perm.n
     exhaustive = xs is None
     xs = np.arange(perm.size) if exhaustive else xs

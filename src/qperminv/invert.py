@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import PseudoIdentity
-from .perm import Permutation, _check_stage, _check_values, prefix_members
+from .perm import Permutation, _check_bits, _check_stage, _check_values, prefix_members
 from .qstate import StateVector, make_signed_uniform
 
 EXACT_THRESHOLD = 1.0 - 1e-9
@@ -32,8 +32,7 @@ PSEUDO_THRESHOLD = 0.99
 
 def initial_state(n: int, k: int = 0) -> StateVector:
     """Uniform superposition over every main value, ancilla at 0."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"main register size must be even and >= 2, got {n}")
+    _check_bits(n)
     state = StateVector(n, k)
     state.grid()[:, 0] = 2.0 ** (-n / 2)
     return state

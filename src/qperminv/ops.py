@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perm import (DEFAULT_MAX_BITS, Permutation, _check_listing, _check_stage, _check_value,
-                   _file_lines, _number, _read_rows, prefix_members)
+from .perm import (Permutation, _check_bits, _check_listing, _check_stage, _check_value,
+                   _file_lines, _integers, _number, _read_rows, prefix_members)
 from .qstate import StateVector, support_members
 
 BAD_MODES = ("full-rotation", "random-angle")
@@ -51,8 +51,7 @@ def reflect_about_uniform(state: StateVector, support) -> StateVector:
     members = support_members(support)
     if members.size == 0:
         raise ValueError("reflection support must be nonempty")
-    if members[0] < 0 or members[-1] >= (1 << state.n):
-        raise ValueError(f"support member out of range for {state.n} bits")
+    _check_listing(members, state.n, "reflection support")
     grid = state.grid()
     means = grid[members, :].sum(axis=0) / members.size
     grid *= -1
@@ -95,8 +94,7 @@ class PseudoIdentity:
         angle_mode: str = "worst-case",
         seed: int | None = None,
     ):
-        if n < 1:
-            raise ValueError(f"main register needs at least 1 qubit, got {n}")
+        _check_bits(n)
         if k < 1:
             raise ValueError("pseudo-identity needs at least one ancilla qubit")
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
@@ -108,9 +106,7 @@ class PseudoIdentity:
         cosines = np.asarray(cosines, dtype=np.float64)
         if cosines.shape != (1 << n,):  # before `_check_listing` counts 2^n values
             raise ValueError(f"need one cosine per main value, got shape {cosines.shape}")
-        if (bad := np.asarray(bad_set)).ndim != 1 or (bad.size and bad.dtype.kind not in "iu"):
-            raise ValueError(f"bad set must be a 1-D list of integers, got {bad.dtype} {bad.shape}")
-        bad = np.sort(_check_listing(bad.astype(np.int64), n, "bad set"))
+        bad = np.sort(_check_listing(bad_set, n, "bad set"))
         if bad.size > bad_set_capacity(n, b):
             raise ValueError(
                 f"bad set of size {bad.size} exceeds floor(b * 2^n) = {bad_set_capacity(n, b)}"
@@ -133,7 +129,7 @@ class PseudoIdentity:
 
     def count_bad(self, members) -> int:
         """|members ∩ bad set|, each member in [0, 2^n) and counted once."""
-        members = _check_listing(np.unique(np.asarray(members, dtype=np.int64)), self.n, "members")
+        members = _check_listing(np.unique(_integers(members, "members")), self.n, "members")
         return int(np.count_nonzero(self._bad_lut[members]))
 
     def __repr__(self) -> str:
@@ -217,8 +213,7 @@ def build_pseudo_identity(
     full-rotation bad states get cosine 0 (|z,0> -> |z,1>); random-angle draws
     bad cosines uniformly from [-1, 1].
     """
-    if n < 1:
-        raise ValueError(f"main register needs at least 1 qubit, got {n}")
+    _check_bits(n)
     bad, cosines = _draw_operator(n, a, b, bad_mode, angle_mode, seed)
     return PseudoIdentity(n, k, a, b, bad, cosines, bad_mode, angle_mode, seed)
 
@@ -283,8 +278,7 @@ def parse_pseudo_identity(text: str) -> PseudoIdentity:
     if len(head) != 6:
         raise ValueError("header must be 'n k a b mode seed'")
     n, k = _number(head[0]), _number(head[1])
-    if not 1 <= n <= DEFAULT_MAX_BITS or k < 1:
-        raise ValueError(f"header needs n in [1, {DEFAULT_MAX_BITS}] and k >= 1, got n={n}, k={k}")
+    _check_bits(n)
     a, b = _number(head[2], float), _number(head[3], float)
     if "/" not in head[4]:
         raise ValueError("mode must be 'angle_mode/bad_mode'")

@@ -26,12 +26,11 @@ def _check_value(v: int, n: int) -> None:
 
 
 def _check_values(xs, n: int) -> np.ndarray:
-    """xs as a nonempty int64 array of values in [0, 2^n)."""
-    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+    """xs as a nonempty `_check_listing` of main values: int64, each in
+    [0, 2^n) and listed once."""
+    xs = _check_listing(xs, n, "xs")
     if xs.size == 0:
         raise ValueError("need at least one x value")
-    _check_value(int(xs.min()), n)
-    _check_value(int(xs.max()), n)
     return xs
 
 
@@ -42,15 +41,12 @@ class Permutation:
 
     def __init__(self, n: int, table, family: str = "from-table", seed: int | None = None):
         _check_bits(n)
-        table = np.array(table, dtype=np.int64)
+        table = _check_listing(table, n, "table")
         size = 1 << n
-        if table.shape != (size,):
+        if table.size != size:  # 2^n values in range, none listed twice: a bijection
             raise ValueError(f"table must have exactly {size} entries, got shape {table.shape}")
-        inverse = np.full(size, -1, dtype=np.int64)
-        if table.min() >= 0 and table.max() < size:  # a negative index would wrap round
-            inverse[table] = np.arange(size, dtype=np.int64)
-        if inverse.min() < 0:  # some value is no entry's image
-            raise ValueError("table is not a bijection on [0, 2^n)")
+        inverse = np.empty(size, dtype=np.int64)
+        inverse[table] = np.arange(size, dtype=np.int64)
         self.n = int(n)
         self.table = table
         self.inverse_table = inverse
@@ -166,8 +162,8 @@ def permutation_from_text(text: str) -> Permutation:
     size = 1 << n
     if len(lines) != size + 1:
         raise ValueError(f"expected {size} table rows, found {len(lines) - 1}")
-    table = _read_rows(lines[1:], np.int64, "table rows must be decimal integers, one per line")
-    return Permutation(n, _check_listing(table, n, "table"))
+    return Permutation(n, _read_rows(lines[1:], np.int64,
+                                     "table rows must be decimal integers, one per line"))
 
 
 def _file_lines(text: str, what: str) -> list[str]:
@@ -212,11 +208,24 @@ def _read_rows(rows: list[str], dtype, message: str) -> np.ndarray:
     return records
 
 
-def _check_listing(values: np.ndarray, n: int, listing: str) -> np.ndarray:
-    """values, refused where one lies outside [0, 2^n) or the listing has it twice."""
-    outside = (values < 0) | (values >= 1 << n)
-    if outside.any():
+def _integers(values, listing: str) -> np.ndarray:
+    """values as an array, refused unless 1-D with an integer dtype (an empty
+    listing has any dtype); bools are not integers here."""
+    values = np.asarray(values)
+    if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+        raise ValueError(f"{listing} must be a 1-D list of integers, got {values.dtype} {values.shape}")
+    return values
+
+
+def _check_listing(values, n: int, listing: str) -> np.ndarray:
+    """The one rule for a listing of main values, from any array-like: an int64
+    array, refused unless `_integers` passes it, each value lies in [0, 2^n)
+    (compared before the cast, so no value wraps) and none is listed twice."""
+    values = _integers(values, listing)
+    if values.size and not (values.min() >= 0 and values.max() < 1 << n):
+        outside = (values < 0) | (values >= 1 << n)
         raise ValueError(f"main value {values[outside][0]} out of range for {n} bits")
+    values = values.astype(np.int64)
     counts = np.bincount(values, minlength=1 << n)
     if counts.max() > 1:
         raise ValueError(f"{listing} lists main value {counts.argmax()} twice")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .perm import _check_listing, _integers
+
 MAX_STATE_BYTES = 1 << 30  # no state vector may exceed 1 GiB
 
 
@@ -84,26 +86,23 @@ class StateVector:
 def support_members(support) -> np.ndarray:
     """A support set as a sorted int64 array of unique members.
 
-    Accepts an array or any iterable of ints.
+    Accepts an array or any iterable (a set, a generator) of integers; floats,
+    bools and nesting are refused by `perm._integers`, the type rule of every
+    listing of main values. The range is the caller's to check.
     """
     if not isinstance(support, np.ndarray):
-        support = np.fromiter(support, dtype=np.int64)
-    members = np.sort(support.astype(np.int64, copy=False))
-    repeated = members[1:] == members[:-1]
-    if repeated.any():
-        members = members[np.concatenate(([True], ~repeated))]
-    return members
+        support = list(support)
+    return np.unique(_integers(support, "support")).astype(np.int64, copy=False)
 
 
 def signed_support(support, flipped, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """S and T as `support_members` arrays, checked: S nonempty and inside a
-    main register of n qubits, T a subset of S."""
+    """S and T as `support_members` arrays, checked: S nonempty and a
+    `perm._check_listing` for a main register of n qubits, T a subset of S."""
     s_members = support_members(support)
     t_members = support_members(flipped)
     if s_members.size == 0:
         raise ValueError("support must be nonempty")
-    if s_members[0] < 0 or s_members[-1] >= (1 << n):
-        raise ValueError(f"support member out of range for {n} bits")
+    _check_listing(s_members, n, "support")
     if t_members.size:
         pos = np.searchsorted(s_members, t_members)
         if pos[-1] == s_members.size or (s_members[pos] != t_members).any():

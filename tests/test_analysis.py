@@ -237,6 +237,16 @@ def test_inversion_residual_stats_rejects_bad_q():
         inversion_residual_stats(perm, jop, q=0.0)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_inversion_residual_stats_refuses_non_finite_q(q):
+    # nan once gave markov_limit nan and a failed count; inf with J = I gave
+    # markov_limit 0 * inf = nan, failing a count that should pass
+    perm = build_permutation("identity", 4)
+    with pytest.raises(ValueError, match=f"^q must be finite and positive, got {q}$"):
+        inversion_residual_stats(perm, build_pseudo_identity(4, 1), q=q)
+    assert inversion_residual_stats(perm, build_pseudo_identity(4, 1), q=1e300).markov_ok
+
+
 def test_compute_params_examples():
     params = compute_params(1, 4)
     assert params.p == 1024.0

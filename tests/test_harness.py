@@ -1114,7 +1114,8 @@ def test_any_ancilla_count_runs_and_is_echoed(argv, k, tmp_path, capsys):
     assert manifest["config"].get("k") == k
 
 
-@pytest.mark.parametrize("head, code, match", [("40 1", 1, "header"), ("4 0", 1, "header"),
+@pytest.mark.parametrize("head, code, match", [("40 1", 1, "error: bit length 40 exceeds the cap of 16\n"),
+                                               ("4 0", 1, "error: pseudo-identity needs at least one ancilla qubit\n"),
                                                ("4 1000000000", 0, "")],
                          ids=["n-40", "k-0", "k-1e9"])
 def test_operator_header_is_checked_before_allocation(head, code, match, tmp_path, capsys):
@@ -1245,6 +1246,8 @@ REFUSED_INPUTS = {
     "perm-non-ascii": (1, "permutation file must be ASCII", "perm.txt", "n=2\n0\n1\n\u00d92\n3\n"),
     "op-non-ascii": (1, "pseudo-identity file must be ASCII", "op.txt",
                      _operator_with("angles 0", "angles\u00a00")),
+    "op-n-odd": (1, "error: bit length must be an even integer >= 2, got 3\n", "op.txt",
+                 _operator_with("4 1 ", "3 1 ")),
     "sweep-bad-size-past-2^n": (1, "bad_size 5 exceeds 2^2", "config.json", json.dumps(
         {"master_seed": 5, "grid": {"n": [2], "family": ["random"], "a": [0.0], "bad_size": [5]}})),
 }

@@ -1,5 +1,7 @@
 """Tagging, reflections, pseudo-identities, and their algebraic properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,27 @@ def test_bad_set_capacity_enforced():
         PseudoIdentity(2, 1, 0.0, 0.25, [0, 1], _implied_cosines(2, 0.0, [0, 1]))
     with pytest.raises(ValueError, match="ancilla"):
         build_pseudo_identity(2, 0, a=0.0, b=0.0)
+
+
+# `perm._check_bits` is the one register-size rule: n even in [2, 16], refused
+# before anything of size 2^n is allocated (n = 40 would ask for 8 TiB)
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_pseudo_identity(40), "bit length 40 exceeds the cap of 16"),
+    (lambda: build_pseudo_identity(18), "bit length 18 exceeds the cap of 16"),
+    (lambda: build_pseudo_identity(3), "bit length must be an even integer >= 2, got 3"),
+    (lambda: PseudoIdentity(3, 1, 0.0, 0.0, [], np.full(8, 1.0)),
+     "bit length must be an even integer >= 2, got 3"),
+    (lambda: initial_state(18), "bit length 18 exceeds the cap of 16"),
+], ids=["build-40", "build-18", "build-odd", "constructor-odd", "initial-state-18"])
+def test_register_sizes_are_refused_before_allocation(build, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # the operator file's rule: a bad set listed in Python is refused where a
@@ -614,7 +637,18 @@ def test_writers_match_the_per_value_formulas_at_n16():
          *(f"{z} {jop.cosines[z]:.17g}\n" for z in range(65536))])
 
 
-@pytest.mark.parametrize("head", ["0 1", "17 1", "40 1", "4 0"])
+# n follows `perm._check_bits`, checked before anything of size 2^n is read;
+# k is left to the constructor
+HEADER_SIZE_ERRORS = {
+    "0 1": "bit length must be an even integer >= 2, got 0",
+    "3 1": "bit length must be an even integer >= 2, got 3",
+    "17 1": "bit length must be an even integer >= 2, got 17",
+    "40 1": "bit length 40 exceeds the cap of 16",
+    "4 0": "pseudo-identity needs at least one ancilla qubit",
+}
+
+
+@pytest.mark.parametrize("head", ["0 1", "17 1", "40 1", "4 0", "3 1"])
 def test_parse_checks_header_sizes(head):
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match=f"^{HEADER_SIZE_ERRORS[head]}$"):
         parse_pseudo_identity(f"{head} 0 0 worst-case/full-rotation -\nbad 0\nangles 0\n")
