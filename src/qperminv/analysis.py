@@ -4,6 +4,9 @@ Everything here is finite-size: the asymptotically-negligible part of each
 bound is carried explicitly as 2*sqrt(a) * |S ∩ good| / sqrt(|S|) (coarsened
 to 2*sqrt(a) * 2^(n/2) inside sweep aggregates), so every check is a concrete
 inequality between computed numbers.
+
+Every verdict is `_holds`, bound - measured >= -slack: slack BOUND_TOL for a
+bound, 0 for an identity. ROADMAP item 4 makes the slack relative, here alone.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ from .qstate import signed_support
 
 BOUND_TOL = 1e-9
 IDENTITY_TOL = 1e-12
+
+
+def _holds(measured, bound, slack):
+    """Every check's verdict, on scalars or arrays; a NaN fails."""
+    return bound - measured >= -slack
 
 # The signed uniform state psi over (S, T) has amplitude +-1/sqrt|S| at (y, 0)
 # for y in S, and J psi has c_y and s_y times it at (y, 0) and (y, 1). So
@@ -66,10 +74,9 @@ class BoundReport:
 def check_error_length_bound(jop: PseudoIdentity, support, flipped=()) -> BoundReport:
     """Error length against 2*sqrt(a)*|S∩good|/sqrt(|S|) + 2*sqrt(|S∩bad|/|S|)."""
     members, d = _deficit(jop, support, flipped)
-    bad_overlap = jop.count_bad(members)
-    measured, bound, _ = map(float, _margins(jop.a, members.size, bad_overlap, d))
-    margin = bound - measured
-    return BoundReport(measured, bound, margin, margin >= -BOUND_TOL, bad_overlap)
+    bad = jop.count_bad(members)
+    measured, bound, _ = map(float, _margins(jop.a, members.size, bad, d))
+    return BoundReport(measured, bound, bound - measured, _holds(measured, bound, BOUND_TOL), bad)
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,7 @@ def check_residual_bound(jop: PseudoIdentity, support, flipped=()) -> ResidualRe
     members, d = _deficit(jop, support, flipped)
     alpha = float(np.mean(jop.cosines[members]))
     err, _, perp_norm = map(float, _margins(jop.a, members.size, jop.count_bad(members), d))
-    margin = err - perp_norm
-    return ResidualReport(alpha, perp_norm, err, margin, margin >= -BOUND_TOL)
+    return ResidualReport(alpha, perp_norm, err, err - perp_norm, _holds(perp_norm, err, BOUND_TOL))
 
 
 @dataclass(frozen=True)
@@ -157,12 +163,13 @@ def _error_sweeps(perm: Permutation, jop: PseudoIdentity, xs, levels) -> list[Er
         # each bad mean is a multiple of 1/|S|, so their float sum is exact
         mean_ratio = Fraction(float(bad[blocks].sum())) / xs.size
         mean_len = float(lengths.mean())
-        slack = BOUND_TOL
+        spread = 0.0
         if not exhaustive and xs.size > 1:
-            slack += 3.0 * float(lengths.std(ddof=1)) / math.sqrt(xs.size)
-        exact = abs(mean_ratio - expected_ratio) <= IDENTITY_TOL if exhaustive else None
+            spread = 3.0 * float(lengths.std(ddof=1)) / math.sqrt(xs.size)
+        exact = (_holds(abs(mean_ratio - expected_ratio), Fraction(IDENTITY_TOL), 0)
+                 if exhaustive else None)
         sweeps.append(ErrorLengthSweep(mean_len, float(lengths.max()), mean_ratio, expected_ratio,
-                                       exact, bound, mean_len <= bound + slack))
+                                       exact, bound, _holds(mean_len, bound, BOUND_TOL + spread)))
     return sweeps
 
 
@@ -223,10 +230,10 @@ def inversion_residual_stats(
         max_v2=float(v2.max()),
         residual_bound=bound,
         residual_bound_applicable=applicable,
-        residual_bound_ok=(mean_v2 <= bound + BOUND_TOL) if applicable else None,
+        residual_bound_ok=_holds(mean_v2, bound, BOUND_TOL) if applicable else None,
         markov_count=exceed,
         markov_limit=markov_limit,
-        markov_ok=exceed <= markov_limit + BOUND_TOL,
+        markov_ok=_holds(exceed, markov_limit, BOUND_TOL),
     )
 
 

@@ -88,11 +88,15 @@ def support_members(support) -> np.ndarray:
 
     Accepts an array or any iterable (a set, a generator) of integers; floats,
     bools and nesting are refused by `perm._integers`, the type rule of every
-    listing of main values. The range is the caller's to check.
+    listing of main values. The range is the caller's to check: an array with
+    a member past int64 stays unsigned, so that check names its true value.
     """
     if not isinstance(support, np.ndarray):
         support = list(support)
-    return np.unique(_integers(support, "support")).astype(np.int64, copy=False)
+    members = np.unique(_integers(support, "support"))
+    if members.max(initial=0) > np.iinfo(np.int64).max:
+        return members
+    return members.astype(np.int64, copy=False)
 
 
 def signed_support(support, flipped, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from qperminv import (
     inversion_residual_stats,
     sample_xs,
 )
+from qperminv.analysis import _holds
 from qperminv.ops import _implied_cosines
 from qperminv.perm import prefix_members
 
@@ -282,3 +283,16 @@ def test_contradiction_inequality():
     assert all(contradiction_check(r) for r in range(1, 101))
     with pytest.raises(ValueError):
         contradiction_check(0.2)
+
+
+
+@pytest.mark.parametrize("measured, bound, slack", [
+    (0.0, -1e-9, 1e-9), (0.5, 0.5 - 2.0**-30, 2.0**-30), (1e-12, 1e-12, 0.0), (3, 3.0, 0.0)])
+def test_holds_passes_a_margin_of_minus_slack_and_fails_one_ulp_below(measured, bound, slack):
+    below = float(np.nextafter(bound, -math.inf))
+    assert bound - measured == -slack and below - measured < -slack
+    assert _holds(measured, bound, slack) is True
+    assert _holds(measured, below, slack) is False
+    assert _holds(math.nan, bound, slack) is False and _holds(measured, math.nan, slack) is False
+    held = _holds(np.array([measured, measured, math.nan]), np.array([bound, below, bound]), slack)
+    assert held.tolist() == [True, False, False]

@@ -88,6 +88,17 @@ def test_every_entry_refuses_a_listing_of_non_integers(entry, kind):
         call(values)
 
 
+@pytest.mark.parametrize("value", [2**63 + 3, 2**64 - 1])
+@pytest.mark.parametrize("entry", LISTING_ENTRIES)
+def test_every_entry_names_a_uint64_member_past_int64_by_its_value(entry, value):
+    _, valid, call = LISTING_ENTRIES[entry]
+    # a flipped set is refused as not inside the support before its range is read
+    message = ("flipped set must be a subset of the support" if entry.endswith("-T")
+               else f"main value {value} out of range for [0-9]+ bits")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(np.array([*valid, value], dtype=np.uint64))
+
+
 def _plain(result):
     """A result as nested lists and scalars, compared with ==."""
     if dataclasses.is_dataclass(result):

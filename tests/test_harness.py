@@ -28,6 +28,7 @@ from qperminv import (
     serialize_pseudo_identity,
 )
 from qperminv import harness
+from qperminv import perm as perm_module
 from qperminv.analysis import _deficit
 from qperminv.cli import build_parser, main
 from qperminv.harness import (
@@ -458,6 +459,37 @@ def test_markov_entry_is_the_residual_run_nearest_its_limit(n_max, seed, k, pinn
     assert (entry["measured"], entry["bound"]) == pinned
 
 
+# Each entry's slack: BOUND_TOL for the bounds, 0 for the two identities (bound
+# IDENTITY_TOL) and for the failure-count inequality (measured 0 or 1, bound 0.5).
+ENTRY_SLACK = {"error-length-bound": 1e-9, "orthogonal-residual-bound": 1e-9,
+               "overlap-ratio-identity": 0.0, "mean-error-length-bound": 1e-9,
+               "mean-residual-bound": 1e-9, "residual-markov-count": 1e-9,
+               "parameter-identity": 0.0, "failure-count-inequality": 0.0}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_max", range(2, 17, 2))
+def test_every_entry_passes_by_its_own_printed_margin(n_max, seed, monkeypatch):
+    residuals = []
+
+    def recorded(*args):
+        residuals.append(inversion_residual_stats(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(harness, "inversion_residual_stats", recorded)
+    checks = lemma_battery(n_max, 50, seed)
+    assert [c["name"] for c in checks] == list(ENTRY_SLACK)
+    for c in checks:
+        assert c["margin"] == c["bound"] - c["measured"]
+        assert c["pass"] is (c["margin"] >= -ENTRY_SLACK[c["name"]]), c
+    # The mean-residual entry reads every run, also those whose bound is above 1
+    # and so does not apply: a residual is at most 1, so their margin is positive.
+    assert len(residuals) == 3
+    assert any(run.residual_bound > 1 for run in residuals) == (n_max <= 10)
+    for run in residuals:
+        assert run.residual_bound <= 1 or run.residual_bound - run.mean_v2 > 0
+
+
 def _valid_chunk():
     """Three instances of one size n = 2, given per instance after n: a,
     cosines, sorted bad set, S and T."""
@@ -692,6 +724,14 @@ def test_edge_flag_values_are_accepted(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert capsys.readouterr().err == "" and out.exists()
+
+
+def test_grid_and_flag_n_rule_is_perms_size_rule(monkeypatch):
+    test, rule = harness._GRID_RULES["n"]
+    assert rule == _N and [v for v in range(-2, 21) if test(v)] == list(range(2, 17, 2))
+    assert not any(test(v) for v in (True, 4.0, "4", None, [4]))
+    monkeypatch.setattr(perm_module, "DEFAULT_MAX_BITS", 20)  # the one cap
+    assert [v for v in range(14, 24) if test(v)] == [14, 16, 18, 20]
 
 
 def test_params_n_keeps_its_own_rule(capsys):
