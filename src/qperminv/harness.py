@@ -410,9 +410,9 @@ def lemma_battery(n_max: int = 8, count: int = 200, seed: int = 0) -> list[dict]
     checked and reduced at once (`_suite_chunk`) to the a, |S|, |S ∩ bad| and
     d from which `_margins` gives both entries, as it does in
     `check_error_length_bound` and `check_residual_bound`. Only each entry's
-    first least-margin instance, in draw order, is kept, as every entry keeps
-    its least-margin run. The exhaustive sweeps' tagged stages j = 0 .. n/2 - 1
-    and plain j = 1 .. n/2 are the levels 0 .. n/2 of one pass per operator."""
+    first least-margin instance, in draw order, is kept: the entry passes when
+    it does. The exhaustive sweeps' tagged stages j = 0 .. n/2 - 1 and plain
+    j = 1 .. n/2 are the levels 0 .. n/2 of one pass per operator."""
     worst = [None, None]  # (margin, index, measured, bound) per entry
 
     def fold(entry, index, measured, bound):
